@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.allocation.base import AllocationMethod, AllocationRequest
-from repro.core.ranking import rank_providers
+from repro.core.ranking import rank_providers, top_selection
 
 __all__ = ["MariposaMethod"]
 
@@ -85,12 +85,28 @@ class MariposaMethod(AllocationMethod):
         delays = request.backlog_seconds + (
             request.query.cost_units / request.capacities
         )
+        qualified = delays <= self._max_delay
+        n_needed = request.n_to_select
+        if n_needed == 1:
+            # The paper's q.n = 1: the winner is the first qualified bid
+            # of the cheapest-first ranking below, or its head when none
+            # qualifies.  Sinking the disqualified offers to -inf (bids
+            # are finite) lets top_selection's linear scan pick exactly
+            # that, from the same jitter draw and in the same (bid,
+            # jitter, index) order, without sorting every bid.
+            offers = -bids
+            if qualified.any():
+                if np.isnan(offers).any():
+                    raise ValueError("scores must not contain NaN")
+                offers = np.where(qualified, offers, -np.inf)
+            return top_selection(
+                offers, 1, rng=request.rng, tie_break=self._tie_break
+            )
         # Cheapest-first ranking: rank on negated bids.
         ranking = rank_providers(
             -bids, rng=request.rng, tie_break=self._tie_break
         )
-        qualified = delays[ranking] <= self._max_delay
-        n_needed = request.n_to_select
+        qualified = qualified[ranking]
         winners = ranking[qualified][:n_needed]
         if winners.size < n_needed:
             # Not enough bids under the curve: fill with the cheapest

@@ -192,15 +192,15 @@ def provider_intention_vector(
         # broadcasting only runs for surface plots and scalar mixes.
         prf, ut, sat = np.broadcast_arrays(prf, ut, sat)
     positive = (prf > 0.0) & (ut < 1.0)
-    one_minus_sat = 1.0 - sat  # shared by both branches' exponents
-    pos = np.power(np.maximum(prf, 0.0), one_minus_sat) * np.power(
-        np.maximum(1.0 - ut, 0.0), sat
-    )
-    neg = -(
-        np.power(1.0 - prf + epsilon, one_minus_sat)
-        * np.power(ut + epsilon, sat)
-    )
-    return np.where(positive, pos, neg)
+    # Each lane takes one branch, so pick its bases first and take two
+    # powers instead of four.  On the positive branch the bases are the
+    # raw values (no floor needed: both are strictly positive there),
+    # and negation is exact, so every lane equals the case-split
+    # formula bit for bit.
+    prf_base = np.where(positive, prf, 1.0 - prf + epsilon)
+    ut_base = np.where(positive, 1.0 - ut, ut + epsilon)
+    magnitude = np.power(prf_base, 1.0 - sat) * np.power(ut_base, sat)
+    return np.where(positive, magnitude, -magnitude)
 
 
 def provider_intention_surface(

@@ -141,12 +141,11 @@ def provider_score_vector(
     if om.size and (om.min() < 0.0 or om.max() > 1.0):
         raise ValueError("omega values must be in [0, 1]")
     positive = (pi > 0.0) & (ci > 0.0)
-    one_minus_om = 1.0 - om  # shared by both branches' exponents
-    pos = np.power(np.maximum(pi, 0.0), om) * np.power(
-        np.maximum(ci, 0.0), one_minus_om
-    )
-    neg = -(
-        np.power(1.0 - pi + epsilon, om)
-        * np.power(1.0 - ci + epsilon, one_minus_om)
-    )
-    return np.where(positive, pos, neg)
+    # One branch per lane, as in provider_intention_vector: pick the
+    # bases first, take two powers instead of four, then negate the
+    # negative lanes (exact), which equals the case-split formula bit
+    # for bit.
+    pi_base = np.where(positive, pi, 1.0 - pi + epsilon)
+    ci_base = np.where(positive, ci, 1.0 - ci + epsilon)
+    magnitude = np.power(pi_base, om) * np.power(ci_base, 1.0 - om)
+    return np.where(positive, magnitude, -magnitude)

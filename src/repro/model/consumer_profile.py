@@ -49,7 +49,8 @@ def query_adequation(intentions_to_candidates: Sequence[float]) -> float:
     values = np.asarray(intentions_to_candidates, dtype=float)
     if values.size == 0:
         raise ValueError("P_q must contain at least one provider")
-    return (float(values.mean()) + 1.0) / 2.0
+    # The sum-then-divide ``ndarray.mean`` computes, minus its wrapper.
+    return (float(np.add.reduce(values)) / values.size + 1.0) / 2.0
 
 
 def query_satisfaction(

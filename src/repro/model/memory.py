@@ -34,6 +34,13 @@ __all__ = ["InteractionMemory", "RowRingLog"]
 #: Refresh running sums from the raw buffer every this many pushes.
 _RESYNC_INTERVAL = 4096
 
+#: A vector push whose performed bookkeeping touches at most this many
+#: rows (the selected provider plus the odd eviction of a performed
+#: entry) updates the performed sums row by row; above it, e.g. when the
+#: warm-start slot evicts every row at once, one masked full-width
+#: update is cheaper.
+_SPARSE_ROWS = 8
+
 
 class InteractionMemory:
     """A fixed-capacity ring buffer of floats with an O(1) running mean.
@@ -227,10 +234,9 @@ class RowRingLog:
         # row currently sits at while the whole bank advances together
         # (None once any partial push breaks global lockstep); _all_full
         # latches once every window has filled — counts never decrease,
-        # so from then on eviction bookkeeping needs no masks.
+        # so from then on pushes skip the count update.
         self._uniform_slot: int | None = 0
         self._all_full = False
-        self._dirty_mask: np.ndarray | None = None
         # Push-path tallies (telemetry reads these; plain ints, always
         # maintained — they never feed back into the simulation).
         self.uniform_pushes = 0
@@ -289,8 +295,9 @@ class RowRingLog:
         row_indices:
             Integer array of **distinct** rows that observed this
             interaction.  Distinctness is a hard requirement, not a
-            hint: the running sums accumulate with fancy indexing,
-            which silently drops duplicate contributions (no error is
+            hint: the whole-window sums accumulate with fancy indexing,
+            which silently drops duplicate contributions, while the
+            performed sums apply every one of them (no error is
             raised), corrupting every mean until the next resync.
         values:
             Mapping from channel name to a float array aligned with
@@ -361,17 +368,15 @@ class RowRingLog:
         all_rows = self._is_all_rows(rows)
         if all_rows and self._uniform_slot is not None:
             # Global lockstep: the slot is known without touching _pos.
-            self._push_uniform_slot(
+            return self._push_uniform_slot(
                 rows, self._uniform_slot, new, performed, all_rows=True
             )
-            return rows[self._dirty_mask]
         pos = self._pos if all_rows else self._pos[rows]
         slot = pos[0]
         if (pos == slot).all():
-            self._push_uniform_slot(
+            return self._push_uniform_slot(
                 rows, int(slot), new, performed, all_rows=all_rows
             )
-            return rows[self._dirty_mask]
         self._uniform_slot = None
         return self._push_scattered(rows, pos, new, performed)
 
@@ -382,77 +387,55 @@ class RowRingLog:
         new: np.ndarray,
         performed: np.ndarray,
         all_rows: bool,
-    ) -> None:
+    ) -> np.ndarray:
         # All pushed rows share one ring slot (they have been pushed in
         # lockstep since construction — the universal-matchmaker hot
         # path, including after departures shrink the set).  One
         # contiguous plane holds every outgoing and incoming value, so
-        # the update is a handful of dense (rows x channels) operations
-        # with no scatter machinery at all.  Once every window is full
-        # the eviction masks collapse (full ≡ True) and the whole update
-        # shrinks further.  The order of the sum updates (evict old,
-        # then add new) matches the scattered path, so the running sums
-        # stay bit-identical whichever path a push takes.
+        # the whole-window sums take a handful of dense (rows x
+        # channels) operations with no scatter machinery at all.  A slot
+        # a row has not filled yet holds 0.0 and False (the planes start
+        # zeroed and each row fills its ring in order), so evicting it
+        # subtracts exactly nothing: eviction needs no fill mask.  The
+        # order of the sum updates (evict old, then add new) matches the
+        # scattered path, so the running sums stay bit-identical
+        # whichever path a push takes.
         self.uniform_pushes += 1
         plane = self._data[slot]
         performed_plane = self._performed[slot]
         capacity = self._capacity
+        next_slot = (slot + 1) % capacity
         if all_rows:
-            old = plane  # live view: consumed before the overwrite below
-            if self._all_full:
-                old_performed = performed_plane  # live view, same caveat
-                self._sum_all -= old
-            else:
-                full = self._count == capacity
-                old_performed = performed_plane & full
-                self._sum_all -= np.where(full[:, None], old, 0.0)
-            self._sum_performed -= np.where(
-                old_performed[:, None], old, 0.0
+            # ``plane`` is a live view: consumed before the overwrite.
+            dirty = self._push_performed(
+                rows, plane, performed_plane, new, performed
             )
-            self._dirty_mask = performed | old_performed
-            self._count_performed += performed.astype(
-                np.int64
-            ) - old_performed.astype(np.int64)
+            self._sum_all -= plane
             plane[...] = new
             self._sum_all += new
-            self._sum_performed += np.where(performed[:, None], new, 0.0)
             performed_plane[...] = performed
             if not self._all_full:
                 np.minimum(self._count + 1, capacity, out=self._count)
                 if bool((self._count == capacity).all()):
                     self._all_full = True
-            self._pos[...] = (slot + 1) % capacity
-            self._uniform_slot = (slot + 1) % capacity
-        else:
-            old = plane[rows]
-            if self._all_full:
-                old_performed = performed_plane[rows]
-                self._sum_all[rows] -= old
-            else:
-                full = self._count[rows] == capacity
-                old_performed = performed_plane[rows] & full
-                self._sum_all[rows] -= np.where(full[:, None], old, 0.0)
-            self._sum_performed[rows] -= np.where(
-                old_performed[:, None], old, 0.0
-            )
-            self._dirty_mask = performed | old_performed
-            self._count_performed[rows] += performed.astype(
-                np.int64
-            ) - old_performed.astype(np.int64)
-            plane[rows] = new
-            self._sum_all[rows] += new
-            self._sum_performed[rows] += np.where(
-                performed[:, None], new, 0.0
-            )
-            performed_plane[rows] = performed
-            if not self._all_full:
-                self._count[rows] = np.minimum(
-                    self._count[rows] + 1, capacity
-                )
-                if bool((self._count == capacity).all()):
-                    self._all_full = True
-            self._pos[rows] = (slot + 1) % capacity
-            self._uniform_slot = None
+            self._pos[...] = next_slot
+            self._uniform_slot = next_slot
+            return dirty
+        old = plane[rows]
+        dirty = self._push_performed(
+            rows, old, performed_plane[rows], new, performed
+        )
+        self._sum_all[rows] -= old
+        plane[rows] = new
+        self._sum_all[rows] += new
+        performed_plane[rows] = performed
+        if not self._all_full:
+            self._count[rows] = np.minimum(self._count[rows] + 1, capacity)
+            if bool((self._count == capacity).all()):
+                self._all_full = True
+        self._pos[rows] = next_slot
+        self._uniform_slot = None
+        return dirty
 
     def _push_scattered(
         self,
@@ -464,30 +447,69 @@ class RowRingLog:
         # General path: rows sit at different ring positions.  Rows are
         # distinct (see the push docstring), so plain fancy indexing
         # accumulates exactly like a duplicate-safe ufunc.at scatter
-        # would, without its overhead.
+        # would, without its overhead; unfilled slots evict nothing, as
+        # on the uniform path.
         self.scattered_pushes += 1
-        full = self._count[rows] == self._capacity
-        old_performed = self._performed[pos, rows] & full
-
         old = self._data[pos, rows]
-        # Evict the outgoing entry from both running sums, then add the
-        # incoming one; the channel axis rides along contiguously.
-        self._sum_all[rows] -= np.where(full[:, None], old, 0.0)
-        self._sum_performed[rows] -= np.where(old_performed[:, None], old, 0.0)
+        dirty = self._push_performed(
+            rows, old, self._performed[pos, rows], new, performed
+        )
+        # Evict the outgoing entry, then add the incoming one; the
+        # channel axis rides along contiguously.
+        self._sum_all[rows] -= old
         self._data[pos, rows] = new
         self._sum_all[rows] += new
-        self._sum_performed[rows] += np.where(performed[:, None], new, 0.0)
-
-        self._count_performed[rows] += performed.astype(
-            np.int64
-        ) - old_performed.astype(np.int64)
         self._performed[pos, rows] = performed
         if not self._all_full:
             self._count[rows] = np.minimum(
                 self._count[rows] + 1, self._capacity
             )
         self._pos[rows] = (pos + 1) % self._capacity
-        return rows[performed | old_performed]
+        return dirty
+
+    def _push_performed(
+        self,
+        rows: np.ndarray,
+        old: np.ndarray,
+        old_performed: np.ndarray,
+        new: np.ndarray,
+        performed: np.ndarray,
+    ) -> np.ndarray:
+        # The performed-only sums and counts of a vector push: evict
+        # ``old`` where the outgoing entry was performed, then add
+        # ``new`` where the incoming one is (all arrays aligned with
+        # ``rows``; ``old`` must still hold the outgoing values).  Only
+        # those rows change — at q.n = 1 about two of hundreds — so they
+        # are updated one by one, unless so many changed that one masked
+        # full-width update is cheaper.  Either way every changed row
+        # sees the same evict-then-add arithmetic.  Returns those rows,
+        # in ``rows`` order.
+        evicted = old_performed.nonzero()[0]
+        admitted = performed.nonzero()[0]
+        if evicted.size + admitted.size > _SPARSE_ROWS:
+            self._sum_performed[rows] -= np.where(
+                old_performed[:, None], old, 0.0
+            )
+            self._sum_performed[rows] += np.where(
+                performed[:, None], new, 0.0
+            )
+            self._count_performed[rows] += performed.astype(
+                np.int64
+            ) - old_performed.astype(np.int64)
+            return rows[old_performed | performed]
+        sums = self._sum_performed
+        counts = self._count_performed
+        for at in evicted.tolist():
+            row = rows[at]
+            sums[row] -= old[at]
+            counts[row] -= 1
+        for at in admitted.tolist():
+            row = rows[at]
+            sums[row] += new[at]
+            counts[row] += 1
+        if not evicted.size:  # every push until the windows fill
+            return rows[admitted]
+        return rows[old_performed | performed]
 
     def push_scalar(
         self, row: int, values: Sequence[float], performed: bool
@@ -529,34 +551,38 @@ class RowRingLog:
     def _apply_scalar_push(
         self, row: int, values: Sequence[float], performed: bool
     ) -> bool:
-        # Scalar core shared by push_scalar and single-row push(): plain
-        # float arithmetic in the same evict-old-then-add-new order as
-        # the vector paths, so the sums stay bit-identical while
-        # skipping all the fancy indexing machinery.  Returns whether
-        # the performed sums moved.
+        # Scalar core shared by push_scalar and single-row push(): the
+        # row's slot and sums are read once as Python floats and take
+        # the same evict-old-then-add-new operations in the same order
+        # as the vector paths, so they stay bit-identical while skipping
+        # numpy's per-element read arithmetic.  An unfilled slot holds
+        # 0.0 and False, so it evicts nothing.  Returns whether the
+        # performed sums moved.
         self.scalar_pushes += 1
         pos = int(self._pos[row])
-        full = int(self._count[row]) == self._capacity
-        old_performed = full and bool(self._performed[pos, row])
-
-        data = self._data
-        sum_all = self._sum_all
-        sum_performed = self._sum_performed
+        old_performed = bool(self._performed[pos, row])
+        slot = self._data[pos, row]
+        sum_all = self._sum_all[row]
+        sum_performed = self._sum_performed[row]
+        olds = slot.tolist()
+        totals = sum_all.tolist()
+        performed_totals = sum_performed.tolist()
         for index, value in enumerate(values):
             new = float(value)
-            old = float(data[pos, row, index])
-            if full:
-                sum_all[row, index] -= old
-            if old_performed:
-                sum_performed[row, index] -= old
-            data[pos, row, index] = new
-            sum_all[row, index] += new
-            if performed:
-                sum_performed[row, index] += new
-
-        self._count_performed[row] += int(performed) - int(old_performed)
+            old = olds[index]
+            slot[index] = new
+            sum_all[index] = (totals[index] - old) + new
+            if old_performed or performed:
+                total = performed_totals[index]
+                if old_performed:
+                    total -= old
+                if performed:
+                    total += new
+                sum_performed[index] = total
+        if performed != old_performed:
+            self._count_performed[row] += 1 if performed else -1
         self._performed[pos, row] = performed
-        if not full:
+        if int(self._count[row]) < self._capacity:
             self._count[row] += 1
         self._pos[row] = (pos + 1) % self._capacity
         if self._rows > 1:
@@ -592,22 +618,6 @@ class RowRingLog:
         out[nonempty] = sums[nonempty] / self._count_performed[nonempty]
         return out
 
-    def mean_all_rows(
-        self, channel: str, rows: np.ndarray, default: float = 0.0
-    ) -> np.ndarray:
-        """:meth:`mean_all` restricted to ``rows`` (bit-identical there).
-
-        The per-row arithmetic is the same elementwise sum/count divide
-        as the full-population method, so a cache refreshed row-by-row
-        through this never drifts from a wholesale recompute.
-        """
-        sums = self._sum_all[rows, self._channel_index[channel]]
-        counts = self._count[rows]
-        out = np.full(rows.shape, default, dtype=float)
-        nonempty = counts > 0
-        out[nonempty] = sums[nonempty] / counts[nonempty]
-        return out
-
     def mean_performed_rows(
         self, channel: str, rows: np.ndarray, default: float = 0.0
     ) -> np.ndarray:
@@ -619,25 +629,25 @@ class RowRingLog:
         out[nonempty] = sums[nonempty] / counts[nonempty]
         return out
 
-    def mean_all_one(
-        self, channel: str, row: int, default: float = 0.0
-    ) -> float:
-        """:meth:`mean_all` of a single row, as a scalar."""
-        count = self._count[row]
-        if count == 0:
-            return default
-        return float(self._sum_all[row, self._channel_index[channel]] / count)
+    def row_means_all(self, row: int, default: float = 0.0) -> list[float]:
+        """:meth:`mean_all` of one row, every channel, in channel order.
 
-    def mean_performed_one(
-        self, channel: str, row: int, default: float = 0.0
-    ) -> float:
-        """:meth:`mean_performed` of a single row, as a scalar."""
-        count = self._count_performed[row]
+        Python floats from the same IEEE division as the array method,
+        for callers refreshing a single row of a derived view.
+        """
+        count = int(self._count[row])
         if count == 0:
-            return default
-        return float(
-            self._sum_performed[row, self._channel_index[channel]] / count
-        )
+            return [default] * len(self._channels)
+        return [total / count for total in self._sum_all[row].tolist()]
+
+    def row_means_performed(
+        self, row: int, default: float = 0.0
+    ) -> list[float]:
+        """:meth:`mean_performed` of one row, every channel, in channel order."""
+        count = int(self._count_performed[row])
+        if count == 0:
+            return [default] * len(self._channels)
+        return [total / count for total in self._sum_performed[row].tolist()]
 
     def row_values(self, row: int, channel: str) -> np.ndarray:
         """The remembered values of one row/channel, oldest first."""

@@ -584,9 +584,7 @@ class MediatorSimulation:
         """
         if not self._matchmaker_cacheable:
             self._candidate_misses += 1
-            candidates = self._matchmaker.candidates(
-                query, self.providers.active
-            )
+            candidates = self._fetch_candidates(query)
             return candidates, self.capacity.rates[candidates]
         epoch = self.providers.epoch
         if epoch != self._candidate_epoch:
@@ -595,9 +593,7 @@ class MediatorSimulation:
         entry = self._candidate_cache.get(query.klass)
         if entry is None:
             self._candidate_misses += 1
-            candidates = self._matchmaker.candidates(
-                query, self.providers.active
-            )
+            candidates = self._fetch_candidates(query)
             # Class-independent matchmakers (the universal one) produce
             # the same candidate set for every class; reusing the first
             # equal entry keeps one array *object* per epoch, which the
@@ -614,6 +610,47 @@ class MediatorSimulation:
         else:
             self._candidate_hits += 1
         return entry
+
+    def _fetch_candidates(self, query) -> np.ndarray:
+        """``matchmaker.candidates`` for ``query``, refused if malformed.
+
+        Everything downstream relies on the :class:`Matchmaker`
+        contract: a 1-D integer array of active providers, strictly
+        increasing.  A duplicate in particular would silently corrupt
+        the ring logs' running sums, so a matchmaker breaking the
+        contract fails here, on every fetch (once per cache miss for
+        cacheable matchmakers).
+        """
+        active = self.providers.active
+        candidates = self._matchmaker.candidates(query, active)
+        name = type(self._matchmaker).__name__
+        if not (
+            isinstance(candidates, np.ndarray)
+            and candidates.ndim == 1
+            and candidates.dtype.kind in "iu"
+        ):
+            raise ValueError(
+                f"matchmaker {name} must return a 1-D integer array, "
+                f"got {candidates!r}"
+            )
+        if candidates.size == 0:
+            return candidates
+        if not bool((candidates[1:] > candidates[:-1]).all()):
+            raise ValueError(
+                f"matchmaker {name} returned candidates that are not "
+                f"strictly increasing (unsorted or duplicated): {candidates}"
+            )
+        if candidates[0] < 0 or candidates[-1] >= active.size:
+            raise ValueError(
+                f"matchmaker {name} returned candidates outside "
+                f"[0, {active.size}): {candidates}"
+            )
+        if not bool(active[candidates].all()):
+            raise ValueError(
+                f"matchmaker {name} returned inactive providers "
+                f"{candidates[~active[candidates]]}"
+            )
+        return candidates
 
     def _candidates(self, query) -> np.ndarray:
         """The candidate set for ``query`` (see :meth:`_candidate_entry`)."""

@@ -48,7 +48,9 @@ class Matchmaker:
         Returns
         -------
         numpy.ndarray
-            Sorted provider indices; possibly empty.
+            1-D integer array of active provider indices, strictly
+            increasing; possibly empty.  The engine raises
+            ``ValueError`` on anything else.
         """
         raise NotImplementedError
 

@@ -138,13 +138,11 @@ class ConsumerPool:
     def _refresh_one(self, consumer: int) -> None:
         # Scalar refresh of one dirty row; min/max is the scalar clip
         # (the means are never NaN), so the values match _refresh_all.
-        adequation = self._log.mean_all_one(
-            "adequation", consumer, default=self._initial
+        # Channel order matches the log's ("adequation", "satisfaction").
+        adequation, satisfaction = self._log.row_means_all(
+            consumer, default=self._initial
         )
         self._adequation_view[consumer] = min(max(adequation, 0.0), 1.0)
-        satisfaction = self._log.mean_all_one(
-            "satisfaction", consumer, default=self._initial
-        )
         self._satisfaction_view[consumer] = min(max(satisfaction, 0.0), 1.0)
 
     def adequations(self) -> np.ndarray:
@@ -318,18 +316,16 @@ class ProviderPool:
     def _refresh_satisfaction_rows(self, rows: np.ndarray) -> None:
         if rows.size <= 8:
             # The dirty set is almost always just the selected provider
-            # plus the odd performed-entry eviction: scalar arithmetic
-            # (min/max is the scalar clip; the means are never NaN)
-            # beats assembling masked subset arrays.
+            # plus the odd performed-entry eviction: Python-float
+            # arithmetic (min/max is the scalar clip; the means are never
+            # NaN) beats assembling masked subset arrays.
             log = self._log
-            for row in rows:
-                index = int(row)
-                for basis in self._BASES:
-                    mean = log.mean_performed_one(basis, index, default=-1.0)
-                    value = (mean + 1.0) / 2.0
-                    self._satisfaction_views[basis][index] = min(
-                        max(value, 0.0), 1.0
-                    )
+            views = [self._satisfaction_views[basis] for basis in log.channels]
+            for row in rows.tolist():
+                for view, mean in zip(
+                    views, log.row_means_performed(row, default=-1.0)
+                ):
+                    view[row] = min(max((mean + 1.0) / 2.0, 0.0), 1.0)
             return
         for basis in self._BASES:
             means = self._log.mean_performed_rows(basis, rows, default=-1.0)

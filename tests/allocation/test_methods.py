@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.allocation.base import AllocationRequest
 from repro.allocation.capacity_based import CapacityBasedMethod
 from repro.allocation.mariposa import MariposaMethod
 from repro.allocation.naive import RandomMethod, RoundRobinMethod
 from repro.allocation.sqlb_method import SQLBMethod
+from repro.core.ranking import rank_providers
 from repro.simulation.queries import Query
 
 
@@ -133,6 +136,79 @@ class TestMariposa:
         )
         # Both disqualified: cheapest (preference 1.0) still wins.
         assert method.select(request).tolist() == [0]
+
+    @given(
+        lanes=st.lists(
+            # Few distinct preferences and loads force tied bids; the
+            # backlogs put bids on both sides of the 15 s curve.
+            st.tuples(
+                st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                st.sampled_from([0.0, 0.5, 1.0]),
+                st.sampled_from([0.0, 10.0, 100.0]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        n_desired=st.integers(min_value=1, max_value=3),
+        tie_break=st.sampled_from(["random", "index"]),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    @example(  # tied bids, all under the curve
+        lanes=[(0.5, 0.5, 0.0)] * 4, n_desired=1, tie_break="random", seed=0
+    )
+    @example(  # no bid under the curve
+        lanes=[(1.0, 0.0, 100.0), (0.0, 0.0, 100.0)],
+        n_desired=1, tie_break="random", seed=1,
+    )
+    @example(  # a single candidate
+        lanes=[(0.0, 0.5, 100.0)], n_desired=1, tie_break="random", seed=2
+    )
+    @settings(max_examples=150)
+    def test_selection_matches_full_ranking_and_rng_stream(
+        self, lanes, n_desired, tie_break, seed
+    ):
+        """The q.n = 1 linear scan picks what the full ranking picks."""
+        preferences, utilizations, backlog = (list(c) for c in zip(*lanes))
+
+        def request():
+            return make_request(
+                n_providers=len(lanes), n_desired=n_desired,
+                provider_preferences=preferences, utilizations=utilizations,
+                backlog=backlog, seed=seed,
+            )
+
+        method = MariposaMethod(tie_break=tie_break)
+        fast, reference = request(), request()
+        selected = method.select(fast)
+        # The selection the linear scan replaced: rank every bid
+        # cheapest-first, take the qualified ones, backfill the rest.
+        ranking = rank_providers(
+            -method.bids(reference), rng=reference.rng, tie_break=tie_break
+        )
+        delays = reference.backlog_seconds + (
+            reference.query.cost_units / reference.capacities
+        )
+        qualified = delays[ranking] <= 15.0
+        n = reference.n_to_select
+        winners = ranking[qualified][:n]
+        expected = np.concatenate(
+            (winners, ranking[~qualified][: n - winners.size])
+        )
+        np.testing.assert_array_equal(selected, expected)
+        assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        # Qualified, disqualified beside a qualified bid, all disqualified.
+        "backlog", [[0.0, 0.0], [100.0, 0.0], [100.0, 100.0]]
+    )
+    def test_nan_bids_raise(self, backlog):
+        request = make_request(
+            provider_preferences=[float("nan"), 0.5],
+            backlog=backlog,
+            n_providers=2,
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            MariposaMethod().select(request)
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):

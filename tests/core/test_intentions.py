@@ -21,6 +21,18 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 utilization = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
 
+def two_branch_provider_intention(prf, ut, sat, epsilon):
+    """Definition 8 with both branches evaluated on every lane, then
+    selected: the form the single-branch kernel replaced, kept as its
+    bit-exact reference."""
+    positive = (prf > 0.0) & (ut < 1.0)
+    pos = np.power(np.maximum(prf, 0.0), 1.0 - sat) * np.power(
+        np.maximum(1.0 - ut, 0.0), sat
+    )
+    neg = -(np.power(1.0 - prf + epsilon, 1.0 - sat) * np.power(ut + epsilon, sat))
+    return np.where(positive, pos, neg)
+
+
 class TestConsumerIntention:
     def test_positive_branch_geometric_tradeoff(self):
         value = consumer_intention(0.64, 0.25, upsilon=0.5)
@@ -121,6 +133,27 @@ class TestProviderIntention:
             np.array([preference]), np.array([ut]), np.array([satisfaction])
         )
         assert vector[0] == pytest.approx(scalar, abs=1e-12)
+
+    @given(
+        lanes=st.lists(
+            # Boundary lanes (branch edges, idle, saturated, extreme
+            # satisfaction) mixed with regular ones in one array.
+            st.tuples(
+                st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), signed),
+                st.one_of(st.sampled_from([0.0, 1.0, 2.0]), utilization),
+                st.one_of(st.sampled_from([0.0, 1.0]), unit),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        epsilon=st.sampled_from([1.0, 0.5, 1e-3]),
+    )
+    @settings(max_examples=150)
+    def test_single_branch_kernel_is_bit_identical(self, lanes, epsilon):
+        prf, ut, sat = (np.array(column) for column in zip(*lanes))
+        expected = two_branch_provider_intention(prf, ut, sat, epsilon)
+        actual = provider_intention_vector(prf, ut, sat, epsilon=epsilon)
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
     @given(signed, utilization, unit)
     def test_sign_matches_branch_condition(self, preference, ut, satisfaction):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scoring import (
@@ -17,6 +17,21 @@ from repro.core.scoring import (
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 intention = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+def two_branch_provider_score(pi, ci, om, epsilon):
+    """Definition 9 with both branches evaluated on every lane, then
+    selected: the form the single-branch kernel replaced, kept as its
+    bit-exact reference."""
+    positive = (pi > 0.0) & (ci > 0.0)
+    pos = np.power(np.maximum(pi, 0.0), om) * np.power(
+        np.maximum(ci, 0.0), 1.0 - om
+    )
+    neg = -(
+        np.power(1.0 - pi + epsilon, om)
+        * np.power(1.0 - ci + epsilon, 1.0 - om)
+    )
+    return np.where(positive, pos, neg)
 
 
 class TestOmega:
@@ -110,6 +125,30 @@ class TestProviderScore:
             np.array([pi]), np.array([ci]), np.array([om])
         )
         assert vector[0] == pytest.approx(scalar, abs=1e-12)
+
+    @given(
+        lanes=st.lists(
+            # Boundary lanes mixed with regular ones in one array; raw
+            # provider intentions reach below -1 (Definition 8).
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([-1.0, 0.0, 1.0]),
+                    st.floats(min_value=-2.5, max_value=1.0, allow_nan=False),
+                ),
+                st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), intention),
+                st.one_of(st.sampled_from([0.0, 1.0]), unit),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        epsilon=st.sampled_from([1.0, 0.5, 1e-3]),
+    )
+    @settings(max_examples=150)
+    def test_single_branch_kernel_is_bit_identical(self, lanes, epsilon):
+        pi, ci, om = (np.array(column) for column in zip(*lanes))
+        expected = two_branch_provider_score(pi, ci, om, epsilon)
+        actual = provider_score_vector(pi, ci, om, epsilon=epsilon)
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
     @given(intention, intention, unit)
     def test_sign_matches_branch(self, pi, ci, om):

@@ -21,7 +21,12 @@ import pytest
 
 from repro.experiments.executor import ExperimentExecutor, SimulationJob
 from repro.experiments.store import ResultStore
-from repro.simulation.config import DepartureRules, WorkloadSpec, tiny_config
+from repro.simulation.config import (
+    DepartureRules,
+    WorkloadSpec,
+    paper_config,
+    tiny_config,
+)
 from repro.simulation.engine import run_simulation
 
 #: (queries_issued, queries_served, response_time_post_warmup) of
@@ -56,6 +61,21 @@ SERIES_SHA256 = {
         "7300c47e0e4ea68b144b11ca34861ebe9908fa8a77a4f3f8e4732faaa1c1c0a5",
     ("autonomous", "mariposa"):
         "4231cc7a13e8069e0ef53365c36fa63451f76f0cdc81aaf96eb8593f34eaf798",
+}
+
+
+#: The same SHA-256 at paper scale: 200 consumers x 400 providers,
+#: captive, fixed 80 % load, 10 s horizon sampled 5 times, seed 1 (the
+#: benchmark's ``engine_paper`` runs, whose pins these equal).  The
+#: 16-wide goldens above never exercise 400-wide lockstep ring rows:
+#: the window fill, the full-window pushes and the warm-start slot
+#: evicting every provider at once.
+PAPER_SERIES_SHA256 = {
+    "sqlb": "221fa51015eb5b9b2451a6a64b2cbcfb7902f4cff3b26620bb491bd3319d4bbd",
+    "capacity":
+        "b9a209a9ce3c035378decddc94647275d15fbc00805e2f0507ace2f512cbad3f",
+    "mariposa":
+        "29179dc9dc52c376e750db31ba7388c1724c49fc3777ecaa745d4d344be1844b",
 }
 
 
@@ -109,6 +129,20 @@ def test_full_series_match_pre_overhaul_fingerprints(label, method):
     config = captive_config() if label == "captive" else autonomous_config()
     result = run_simulation(config, method, seed=5)
     assert _series_fingerprint(result) == SERIES_SHA256[(label, method)]
+
+
+@pytest.mark.parametrize("method", sorted(PAPER_SERIES_SHA256))
+def test_paper_scale_series_match_fingerprints(method):
+    """The 400-wide hot path is bit-identical to the frozen engine."""
+    config = paper_config(
+        duration=10.0,
+        sample_interval=2.0,
+        warmup_time=2.5,
+        workload=WorkloadSpec.fixed(0.8),
+    )
+    result = run_simulation(config, method, seed=1)
+    assert len(result.times()) == 5
+    assert _series_fingerprint(result) == PAPER_SERIES_SHA256[method]
 
 
 @pytest.mark.parametrize("method", sorted(CAPTIVE_GOLDEN))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,6 +35,17 @@ class TestQueryAdequation:
     @given(intention_lists)
     def test_bounds(self, intentions):
         assert 0.0 <= query_adequation(intentions) <= 1.0
+
+    @given(
+        st.lists(
+            st.floats(min_value=-1, max_value=1, allow_nan=False),
+            min_size=1,
+            max_size=500,  # past numpy's pairwise-summation blocks
+        )
+    )
+    def test_equals_the_ndarray_mean_form_bitwise(self, intentions):
+        values = np.array(intentions)
+        assert query_adequation(values) == (float(values.mean()) + 1.0) / 2.0
 
 
 class TestQuerySatisfaction:

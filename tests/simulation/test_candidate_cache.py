@@ -5,12 +5,14 @@ invalidates on the provider pool's epoch (bumped by every departure).
 The cache invariant — cached candidates always equal a fresh
 ``np.flatnonzero``-style recomputation — is exercised here across
 randomized departure sequences, for both cacheable matchmakers and a
-custom non-cacheable one.
+custom non-cacheable one; a matchmaker breaking the candidate-set
+contract is refused on every fetch.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,3 +126,59 @@ class TestNonCacheableMatchmaker:
         for _ in range(5):
             sim._candidates(make_query(0))
         assert matchmaker.calls == 5
+
+
+class MalformedMatchmaker(Matchmaker):
+    """Breaks the candidate-set contract in one chosen way."""
+
+    def __init__(self, defect, cacheable):
+        self.defect = defect
+        self.cacheable_by_class = cacheable
+
+    def candidates(self, query, active):
+        everyone = np.arange(active.size)
+        if self.defect == "duplicate":
+            return np.insert(np.flatnonzero(active), 1, 0)
+        if self.defect == "descending":
+            return np.flatnonzero(active)[::-1]
+        if self.defect == "departed":
+            return everyone  # ignores the active mask
+        if self.defect == "out_of_range":
+            return everyone + 1
+        if self.defect == "float":
+            return everyone.astype(float)
+        return everyone.reshape(2, -1)  # "2-d"
+
+
+class TestMalformedCandidateSets:
+    """A matchmaker breaking the contract fails loudly, cached or not."""
+
+    @pytest.mark.parametrize("cacheable", [True, False])
+    @pytest.mark.parametrize(
+        ("defect", "message"),
+        [
+            ("duplicate", "strictly increasing"),
+            ("descending", "strictly increasing"),
+            ("departed", "inactive providers"),
+            ("out_of_range", "outside"),
+            ("float", "1-D integer array"),
+            ("2-d", "1-D integer array"),
+        ],
+    )
+    def test_run_raises_naming_the_matchmaker(self, defect, message, cacheable):
+        sim = MediatorSimulation(
+            tiny_config(), "sqlb", seed=1,
+            matchmaker=MalformedMatchmaker(defect, cacheable),
+        )
+        sim.providers.deactivate(3)
+        with pytest.raises(ValueError, match=f"MalformedMatchmaker.*{message}"):
+            sim.run()
+
+    def test_cacheable_matchmaker_is_checked_on_every_miss(self):
+        sim = build_sim(MalformedMatchmaker("departed", cacheable=True))
+        # Well formed while every provider is active ...
+        sim._candidates(make_query(0))
+        # ... and refused at the first miss after a departure.
+        sim.providers.deactivate(3)
+        with pytest.raises(ValueError, match="inactive providers"):
+            sim._candidates(make_query(0))
