@@ -23,6 +23,8 @@ Two output paths, deliberately asymmetric in their dependencies:
 
 Rendering never simulates: cells whose results are absent from the
 store are reported in the payload's ``missing`` section and skipped.
+A catalog render reads every stored run at most once, scenario by
+scenario, and builds all requested figures from that one read.
 """
 
 from __future__ import annotations
@@ -46,7 +48,11 @@ from repro.analysis.series import (
     cells_from_store,
     jsonable,
 )
-from repro.experiments.store import ResultStore, _atomic_write_bytes
+from repro.experiments.store import (
+    ResultStore,
+    StoredSeries,
+    _atomic_write_bytes,
+)
 from repro.simulation.engine import ENGINE_VERSION
 from repro.sweeps.aggregate import ci_halfwidth
 
@@ -350,7 +356,13 @@ def _delta_payload(
 def figure_payload(
     store: ResultStore, spec: FigureSpec, cells: list[CellRuns]
 ) -> dict:
-    """The JSON-ready data payload of one figure over given cells."""
+    """The JSON-ready data payload of one figure over given cells.
+
+    Scenarios are independent: the payload over several scenarios is
+    the union of the payloads over each one (``scenarios`` merged,
+    ``missing`` concatenated in scenario order), which is how
+    :func:`render_catalog` assembles it.
+    """
     if spec.kind == "series":
         body = _series_payload(store, spec, cells)
     elif spec.kind == "departures":
@@ -402,6 +414,51 @@ class RenderReport:
         return not self.skipped
 
 
+class _ScenarioReads:
+    """One scenario's stored runs, each read from the store at most once.
+
+    Stands in for the store in the per-kind payload functions, which
+    call only ``get`` and ``load_series``.  The read is chosen from the
+    figures being built: one ``get`` per run when any of them needs a
+    scalar metric (only those figures' functions call ``get``, and
+    every series is then served from the result), otherwise one
+    ``load_series`` per run over the union of their series, which is
+    several times cheaper.  A scenario has one cell per method, so
+    (method, seed) names a run; the runs live as long as this object.
+    """
+
+    def __init__(self, store: ResultStore, specs: list[FigureSpec]) -> None:
+        self._store = store
+        self._whole = any(spec.kind != "series" for spec in specs)
+        self._names = tuple(
+            sorted({spec.series for spec in specs if spec.kind == "series"})
+        )
+        self._runs: dict = {}
+
+    def get(self, config, method: str, seed: int):
+        key = (method, seed)
+        if key not in self._runs:
+            if self._whole:
+                run = self._store.get(config, method, seed)
+            else:
+                run = self._store.load_series(
+                    config, method, seed, names=self._names
+                )
+            self._runs[key] = run
+        return self._runs[key]
+
+    def load_series(
+        self, config, method: str, seed: int, names: tuple[str, ...]
+    ) -> StoredSeries | None:
+        run = self.get(config, method, seed)
+        if run is None or not self._whole:
+            return run  # already a StoredSeries (or a miss)
+        return StoredSeries(
+            times=run.times(),
+            series={name: run.series(name) for name in names},
+        )
+
+
 def render_catalog(
     store_root: Path | str,
     out_dir: Path | str,
@@ -415,19 +472,29 @@ def render_catalog(
     formats need matplotlib and are skipped (with a note) without it.
     ``cells`` overrides manifest discovery — the queue monitor passes
     the cells of a partially drained queue here.  Rendering is
-    read-only: nothing is ever simulated.
+    read-only: nothing is ever simulated.  Each stored run is read at
+    most once: the figures are built scenario by scenario, so memory
+    holds one scenario's runs at a time.  Bad ``formats`` or ``only``
+    raise before anything is read or created.
     """
+    unknown = [f for f in formats if f not in ("json", "svg", "png")]
+    if unknown:
+        raise ValueError(
+            f"unknown figure formats {unknown}; choose from json/svg/png"
+        )
+    if only is not None:
+        unknown_figures = set(only) - {s.name for s in FIGURE_CATALOG}
+        if unknown_figures:
+            raise ValueError(
+                f"unknown figures {sorted(unknown_figures)}; "
+                f"available: {', '.join(available_figures())}"
+            )
     store = ResultStore(store_root)
     stale = 0
     if cells is None:
         cells, stale = cells_from_store(store_root)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    unknown = [f for f in formats if f not in ("json", "svg", "png")]
-    if unknown:
-        raise ValueError(
-            f"unknown figure formats {unknown}; choose from json/svg/png"
-        )
     image_formats = [f for f in formats if f in ("svg", "png")]
     written: list[Path] = []
     skipped: list[str] = []
@@ -445,15 +512,16 @@ def render_catalog(
         for spec in FIGURE_CATALOG
         if only is None or spec.name in only
     ]
-    if only is not None:
-        unknown_figures = set(only) - {s.name for s in FIGURE_CATALOG}
-        if unknown_figures:
-            raise ValueError(
-                f"unknown figures {sorted(unknown_figures)}; "
-                f"available: {', '.join(available_figures())}"
-            )
+    # Each figure starts empty; every scenario's part is merged in.
+    payloads = {spec.name: figure_payload(store, spec, []) for spec in specs}
+    for _, by_method in sorted(_group_cells(cells).items()):
+        reads = _ScenarioReads(store, specs)
+        for spec in specs:
+            part = figure_payload(reads, spec, list(by_method.values()))
+            payloads[spec.name]["scenarios"].update(part["scenarios"])
+            payloads[spec.name]["missing"].extend(part["missing"])
     for spec in specs:
-        payload = figure_payload(store, spec, cells)
+        payload = payloads[spec.name]
         if not payload["scenarios"]:
             skipped.append(
                 f"{spec.name}: no readable cells in the store"

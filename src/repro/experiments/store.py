@@ -392,14 +392,20 @@ class ResultStore:
         open per run.  ``names`` restricts which series are
         materialised (None = all).
 
-        An unreadable or schema-mismatched entry is a miss (None), but
-        a *readable* entry that lacks a requested name raises
+        An entry without its ``.json`` commit marker (a ``put`` torn
+        between its two writes) is a miss, exactly as for :meth:`get`;
+        the marker is only checked for, never parsed.  An unreadable or
+        schema-mismatched entry is a miss (None) too, but a *readable*
+        entry that lacks a requested name raises
         ``KeyError``: every run of one engine version samples the same
         series catalogue, so an absent name is a caller typo — and
         reporting it as "missing data" would send the user chasing a
         store problem that does not exist.
         """
         key = cache_key(config, method, seed)
+        if not self._json_path(key).is_file():
+            self._record_miss()
+            return None
         try:
             archive = np.load(self._npz_path(key))
         except (OSError, ValueError, zipfile.BadZipFile):

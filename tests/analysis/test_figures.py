@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
+import shutil
+import warnings
 
+import numpy as np
 import pytest
 
 from repro.analysis.figures import (
@@ -16,7 +20,21 @@ from repro.analysis.figures import (
     payload_bytes,
     render_catalog,
 )
-from repro.analysis.series import cells_from_store
+from repro.analysis.metrics import get_metric
+from repro.analysis.series import (
+    cell_band,
+    cell_scalar_map,
+    cell_scalars,
+    cells_from_store,
+    jsonable,
+)
+from repro.experiments.store import ResultStore, cache_key
+from repro.simulation.engine import ENGINE_VERSION
+from repro.sweeps.aggregate import ci_halfwidth
+
+SERIES_FIGURES = tuple(
+    spec.name for spec in FIGURE_CATALOG if spec.kind == "series"
+)
 
 
 def catalog_spec(name):
@@ -137,12 +155,14 @@ class TestRenderCatalog:
                 tmp_path / "bad",
                 only=("figure_9z",),
             )
+        assert not (tmp_path / "bad").exists()
 
     def test_unknown_format_is_refused(self, warm_store, tmp_path):
         with pytest.raises(ValueError, match="unknown figure formats"):
             render_catalog(
                 warm_store.root, tmp_path / "f", formats=("pdf",)
             )
+        assert not (tmp_path / "f").exists()
 
     def test_image_formats_degrade_without_matplotlib(
         self, warm_store, tmp_path
@@ -187,3 +207,223 @@ class TestRenderCatalog:
 
     def test_catalog_names_are_unique(self):
         assert len(set(available_figures())) == len(FIGURE_CATALOG)
+
+
+def reference_payload(store, spec, cells):
+    """One figure's payload built the way every figure once read the
+    store on its own: ``cell_band`` / ``cell_scalar_map`` /
+    ``cell_scalars`` straight over the store, per figure."""
+    grouped = {}
+    for cell in cells:
+        grouped.setdefault(cell.scenario, {})[cell.method] = cell
+    scenarios, missing = {}, []
+
+    def report(scenario, method, absent):
+        if absent:
+            missing.append(
+                {"scenario": scenario, "method": method, "seeds": list(absent)}
+            )
+
+    for scenario, by_method in sorted(grouped.items()):
+        ordered = method_order(list(by_method))
+        methods = {}
+        if spec.kind == "series":
+            times = None
+            for method in ordered:
+                band = cell_band(store, by_method[method], spec.series)
+                report(scenario, method, band.missing_seeds)
+                if band.seeds:
+                    times = band.times if times is None else times
+                    methods[method] = {
+                        "seeds": list(band.seeds),
+                        "mean": band.mean,
+                        "p50": band.quantiles[0.5],
+                        "p90": band.quantiles[0.9],
+                        "ci_halfwidth": band.ci_halfwidth,
+                    }
+            if methods:
+                scenarios[scenario] = {
+                    "times": times,
+                    "method_order": [m for m in ordered if m in methods],
+                    "methods": methods,
+                }
+        elif spec.kind == "departures":
+            extracts = {
+                kind: get_metric(f"{kind}_departure_fraction").extract
+                for kind in ("provider", "consumer")
+            }
+            for method in ordered:
+                by_kind, absent = cell_scalar_map(
+                    store, by_method[method], extracts
+                )
+                report(scenario, method, absent)
+                entry = {}
+                for kind, values in by_kind.items():
+                    if values:
+                        seeds = sorted(values)
+                        entry[kind] = {
+                            "per_seed": {str(s): values[s] for s in seeds},
+                            "mean": float(np.mean([values[s] for s in seeds])),
+                            "ci_halfwidth": ci_halfwidth(
+                                [values[s] for s in seeds]
+                            ),
+                        }
+                if entry:
+                    methods[method] = entry
+            if methods:
+                scenarios[scenario] = {
+                    "method_order": [m for m in ordered if m in methods],
+                    "methods": methods,
+                }
+        else:
+            means = {}
+            for method in ordered:
+                values, absent = cell_scalars(
+                    store, by_method[method], get_metric(spec.metric).extract
+                )
+                report(scenario, method, absent)
+                if values:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        means[method] = float(
+                            np.nanmean([values[s] for s in sorted(values)])
+                        )
+            present = [m for m in ordered if m in means]
+            if len(present) < 2:
+                continue
+            base = means[present[0]]
+            for method in present[1:]:
+                delta = means[method] - base
+                methods[method] = {
+                    "mean": means[method],
+                    "baseline_mean": base,
+                    "delta": delta,
+                    "relative": (
+                        delta / abs(base)
+                        if base != 0.0 and not math.isnan(base)
+                        else float("nan")
+                    ),
+                }
+            scenarios[scenario] = {
+                "baseline": present[0],
+                "method_order": present[1:],
+                "methods": methods,
+            }
+    return jsonable(
+        {
+            "figure": spec.name,
+            "title": spec.title,
+            "kind": spec.kind,
+            "ylabel": spec.ylabel,
+            "series": spec.series,
+            "metric": spec.metric,
+            "engine_version": ENGINE_VERSION,
+            "scenarios": scenarios,
+            "missing": missing,
+        }
+    )
+
+
+def run_keys(cells):
+    return sorted(
+        cache_key(cell.config, cell.method, seed)
+        for cell in cells
+        for seed in cell.seeds
+    )
+
+
+@pytest.fixture
+def store_reads(monkeypatch):
+    """The cache key of every ``ResultStore.get`` and ``load_series``
+    call made while the test runs, listed per read."""
+    reads = {"get": [], "load_series": []}
+    for name, calls in reads.items():
+        original = getattr(ResultStore, name)
+
+        def counted(
+            self, config, method, seed, *args,
+            _original=original, _calls=calls, **kwargs
+        ):
+            _calls.append(cache_key(config, method, seed))
+            return _original(self, config, method, seed, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, name, counted)
+    return reads
+
+
+class TestOneReadPerRun:
+    def test_full_catalog_gets_each_run_once(
+        self, warm_store, store_reads, tmp_path
+    ):
+        cells, _ = cells_from_store(warm_store.root)
+        render_catalog(warm_store.root, tmp_path / "all")
+        assert store_reads["load_series"] == []
+        assert sorted(store_reads["get"]) == run_keys(cells)
+
+    def test_series_figures_load_each_run_once(
+        self, warm_store, store_reads, tmp_path
+    ):
+        cells, _ = cells_from_store(warm_store.root)
+        render_catalog(
+            warm_store.root, tmp_path / "series", only=SERIES_FIGURES
+        )
+        assert store_reads["get"] == []
+        assert sorted(store_reads["load_series"]) == run_keys(cells)
+
+    @pytest.mark.parametrize("only", [None, SERIES_FIGURES])
+    def test_bytes_match_the_per_figure_reference(
+        self, warm_store, tmp_path, only
+    ):
+        cells, _ = cells_from_store(warm_store.root)
+        report = render_catalog(warm_store.root, tmp_path / "f", only=only)
+        specs = [s for s in FIGURE_CATALOG if only is None or s.name in only]
+        assert [p.name for p in report.written] == [
+            f"{spec.name}.json" for spec in specs
+        ]
+        for spec, path in zip(specs, report.written):
+            expected = reference_payload(warm_store.store, spec, cells)
+            assert path.read_bytes() == payload_bytes(expected), spec.name
+
+    @pytest.mark.parametrize("only", [None, SERIES_FIGURES])
+    def test_an_uncommitted_run_is_missing_from_every_figure(
+        self, warm_store, tmp_path, only
+    ):
+        root = tmp_path / "store"
+        shutil.copytree(warm_store.root, root)
+        cells, _ = cells_from_store(root)
+        cell = next(c for c in cells if c.scenario == "autonomous_full")
+        seed = cell.seeds[-1]
+        (root / f"{cache_key(cell.config, cell.method, seed)}.json").unlink()
+        report = render_catalog(root, tmp_path / "f", only=only)
+        assert len(report.written) == len(only or FIGURE_CATALOG)
+        expected = [
+            {"scenario": cell.scenario, "method": cell.method, "seeds": [seed]}
+        ]
+        store = ResultStore(root)
+        for path in report.written:
+            payload = json.loads(path.read_bytes())
+            assert payload["missing"] == expected, path.name
+            spec = next(s for s in FIGURE_CATALOG if s.name == path.stem)
+            reference = reference_payload(store, spec, cells)
+            assert path.read_bytes() == payload_bytes(reference), path.name
+
+    @pytest.mark.parametrize("only", [None, ("response_time",)])
+    def test_seeds_on_different_grids_raise(
+        self, warm_store, tmp_path, only
+    ):
+        cells, _ = cells_from_store(warm_store.root)
+        cell = cells[0]
+        forged = ResultStore(tmp_path / "forged")
+        for seed in cell.seeds:
+            result = warm_store.store.get(cell.config, cell.method, seed)
+            if seed == cell.seeds[-1]:
+                # A self-consistent run one sample longer than its
+                # siblings: readable, but not on the cell's grid.
+                result.collector.add_sample(
+                    999.0, dict.fromkeys(result.collector.names, 1.0)
+                )
+            forged.put(result, method=cell.method)
+        with pytest.raises(ValueError, match="different grid"):
+            render_catalog(
+                forged.root, tmp_path / "f", only=only, cells=[cell]
+            )

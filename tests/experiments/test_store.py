@@ -211,6 +211,20 @@ class TestVerify:
         assert not report.clean
         assert report.orphan_npz == (key,)
 
+    def test_orphan_npz_is_a_miss_for_every_read(
+        self, tmp_path, captive_result
+    ):
+        store = ResultStore(tmp_path)
+        key = store.put(captive_result)
+        config = captive_result.config
+        assert store.load_series(config, "sqlb", 3) is not None
+        (tmp_path / f"{key}.json").unlink()
+        assert store.verify().orphan_npz == (key,)
+        misses = store.misses
+        assert store.get(config, "sqlb", 3) is None
+        assert store.load_series(config, "sqlb", 3) is None
+        assert store.misses == misses + 2
+
     def test_orphan_json_is_flagged(self, tmp_path, captive_result):
         store = ResultStore(tmp_path)
         key = store.put(captive_result)
