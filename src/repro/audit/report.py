@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -123,7 +124,9 @@ def load_shard(path: Path | str) -> AuditShard:
             f"{shard_path}: payload sha256 {digest[:16]}… does not match "
             f"its manifest"
         )
-    with np.load(shard_path) as data:
+    # Decode the very bytes that were hashed: re-opening the path
+    # would read whatever the file holds now.
+    with np.load(io.BytesIO(shard_bytes)) as data:
         arrays = {name: data[name] for name in data.files}
     return AuditShard(manifest=manifest, arrays=arrays, path=path)
 

@@ -26,17 +26,25 @@ Each cached run is two files under the store root:
 Writes are atomic (tempfile + rename) so a crashed or parallel writer
 never leaves a partially-written entry behind; unreadable entries are
 treated as misses and overwritten on the next ``put``.
+
+Every read decodes the ``.npz`` through one private reader,
+:class:`_Payload`: one file read, numpy's ``.npy`` header parser run
+once per distinct header, and anything ``put`` never writes refused as
+unreadable.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +75,83 @@ _FORMAT_VERSION = "1"
 _DEPARTURE_FIELDS = tuple(
     f.name for f in dataclasses.fields(DepartureRecord)
 )
+
+#: What reading a torn, truncated or foreign payload raises: ``zipfile``
+#: reports a missing directory or a bad CRC as ``BadZipFile``, a short
+#: or corrupt deflate stream as ``EOFError`` or ``zlib.error``, and an
+#: encrypted member or a zip feature it lacks as ``RuntimeError``; the
+#: reader refuses every other form ``put`` never writes with
+#: ``ValueError`` (``json.JSONDecodeError`` is one too).
+_UNREADABLE = (
+    OSError,
+    EOFError,
+    RuntimeError,
+    ValueError,
+    zlib.error,
+    zipfile.BadZipFile,
+)
+
+#: The only member preamble ``put`` writes: ``.npy`` magic, version 1.0.
+_NPY_MAGIC = np.lib.format.magic(1, 0)
+
+
+@functools.lru_cache(maxsize=128)
+def _npy_header(header: bytes) -> tuple[tuple[int, ...], np.dtype, int]:
+    """Shape, dtype and element count of one version-1.0 ``.npy`` header.
+
+    ``header`` runs from the two-byte length field to the end of the
+    padded header dict; its exact bytes are the memo key, so numpy's
+    parser (and its ``max_header_size`` check) runs once per distinct
+    header.  Fortran order and object dtypes are refused, the latter as
+    ``np.load(allow_pickle=False)`` refuses them.
+    """
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(
+        io.BytesIO(header)
+    )
+    if fortran_order or dtype.hasobject:
+        raise ValueError(f"refused .npy header {header[2:]!r}")
+    return shape, dtype, math.prod(shape)
+
+
+class _Payload:
+    """One stored ``.npz``: read once, members decoded on demand.
+
+    Accepts only what ``put`` writes — a zip of deflated ``.npy``
+    members with version-1.0, C-order, non-object headers and exactly
+    the payload their header declares — and raises one of
+    :data:`_UNREADABLE` on anything else, a zero-byte or truncated file
+    included.  Every array equals ``np.load``'s bit for bit, with the
+    same dtype and shape, and is writable and owns its memory.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self._archive = zipfile.ZipFile(io.BytesIO(path.read_bytes()))
+        self.members: dict[str, zipfile.ZipInfo] = {}
+        for info in self._archive.infolist():
+            name, suffix = info.filename[:-4], info.filename[-4:]
+            # put writes no member comments: a corrupt comment length
+            # in the zip directory would swallow later members silently.
+            if (
+                suffix != ".npy"
+                or info.compress_type != zipfile.ZIP_DEFLATED
+                or info.comment
+            ):
+                raise ValueError(f"refused npz member {info.filename!r}")
+            self.members[name] = info
+
+    def array(self, name: str) -> np.ndarray:
+        raw = self._archive.read(self.members[name])
+        if raw[:8] != _NPY_MAGIC:
+            raise ValueError(f"member {name!r} is not a version-1.0 .npy")
+        start = 10 + int.from_bytes(raw[8:10], "little")
+        shape, dtype, count = _npy_header(raw[8:start])
+        if len(raw) - start != count * dtype.itemsize:
+            raise ValueError(
+                f"member {name!r} holds {len(raw) - start} payload bytes, "
+                f"its header declares {count * dtype.itemsize}"
+            )
+        array = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
+        return array.reshape(shape).copy()
 
 
 def cache_key(config: SimulationConfig, method: str, seed: int) -> str:
@@ -181,9 +266,10 @@ class StoreVerifyReport:
     ``orphan_json`` are the reverse — a json without its npz, which
     should be impossible under the documented write order and means
     the payload was deleted or the order was violated.  ``unreadable``
-    are complete pairs whose json or npz fails to parse (power-loss
-    torn writes; ``get`` degrades them to misses).  All three are safe
-    to prune: none can ever be served as a hit.
+    (deep verify only) are exactly the complete pairs ``get`` misses
+    on: a json or npz that fails to parse (power-loss torn writes, a
+    zero-byte payload) or a schema mismatch.  All three are safe to
+    prune: none can ever be served as a hit.
     """
 
     entries: int
@@ -281,8 +367,10 @@ class ResultStore:
         Pairs top-level ``<key>.json`` / ``<key>.npz`` halves by stem
         (``glob`` never matches the dot-prefixed atomic-write temps, and
         manifests/figures live in subdirectories).  With ``deep=True``
-        each complete pair is also opened end-to-end — the only way to
-        catch a power-loss torn file that kept its committed name.
+        each complete pair is also loaded exactly as ``get`` loads it —
+        the only way to catch a power-loss torn file that kept its
+        committed name — so ``unreadable`` is exactly the committed
+        pairs ``get`` misses on.
         """
         if not self.root.is_dir():
             return StoreVerifyReport(
@@ -291,27 +379,16 @@ class ResultStore:
         json_keys = {path.stem for path in self.root.glob("*.json")}
         npz_keys = {path.stem for path in self.root.glob("*.npz")}
         paired = json_keys & npz_keys
-        unreadable: list[str] = []
-        if deep:
-            for key in sorted(paired):
-                try:
-                    json.loads(self._json_path(key).read_text())
-                    with np.load(self._npz_path(key)) as archive:
-                        for name in archive.files:
-                            archive[name]
-                except (
-                    OSError,
-                    ValueError,
-                    KeyError,
-                    json.JSONDecodeError,
-                    zipfile.BadZipFile,
-                ):
-                    unreadable.append(key)
+        unreadable = tuple(
+            key
+            for key in sorted(paired)
+            if deep and self._load(key, None) is None
+        )
         return StoreVerifyReport(
             entries=len(paired),
             orphan_npz=tuple(sorted(npz_keys - json_keys)),
             orphan_json=tuple(sorted(json_keys - npz_keys)),
-            unreadable=tuple(unreadable),
+            unreadable=unreadable,
         )
 
     def prune_invalid(self, report: StoreVerifyReport | None = None) -> int:
@@ -356,26 +433,29 @@ class ResultStore:
         key proves it is the config the run was simulated with), so the
         store never needs to reconstruct a config from JSON.
         """
-        key = cache_key(config, method, seed)
+        result = self._load(cache_key(config, method, seed), config)
+        if result is None:
+            self._record_miss()
+        else:
+            self._record_hit()
+        return result
+
+    def _load(
+        self, key: str, config: SimulationConfig | None
+    ) -> SimulationResult | None:
+        """The committed entry ``key`` rebuilt, or None if unservable.
+
+        The one load behind ``get`` and deep ``verify``: unreadable or
+        schema-mismatched entries come back as None (``get``'s miss,
+        ``verify``'s ``unreadable``) and the next put() overwrites them.
+        """
         try:
             meta = json.loads(self._json_path(key).read_text())
-            with np.load(self._npz_path(key)) as archive:
-                arrays = {name: archive[name].copy() for name in archive.files}
-            result = self._rebuild(meta, arrays, config)
-        except (
-            OSError,
-            ValueError,
-            KeyError,
-            TypeError,
-            json.JSONDecodeError,
-            zipfile.BadZipFile,
-        ):
-            # Unreadable or schema-mismatched entries degrade to misses;
-            # the next put() overwrites them.
-            self._record_miss()
+            payload = _Payload(self._npz_path(key))
+            arrays = {name: payload.array(name) for name in payload.members}
+            return self._rebuild(meta, arrays, config)
+        except _UNREADABLE + (LookupError, TypeError):
             return None
-        self._record_hit()
-        return result
 
     def load_series(
         self,
@@ -388,9 +468,10 @@ class ResultStore:
 
         Reads only the ``.npz`` payload — no metadata parse, no result
         reconstruction — so aggregating many seeds over one named
-        series (the analysis layer's band extraction) costs one archive
-        open per run.  ``names`` restricts which series are
-        materialised (None = all).
+        series (the analysis layer's band extraction) costs one file
+        read per run, and only ``times`` and the wanted series are
+        decoded.  ``names`` restricts which series are materialised
+        (None = all).
 
         An entry without its ``.json`` commit marker (a ``put`` torn
         between its two writes) is a miss, exactly as for :meth:`get`;
@@ -407,38 +488,35 @@ class ResultStore:
             self._record_miss()
             return None
         try:
-            archive = np.load(self._npz_path(key))
-        except (OSError, ValueError, zipfile.BadZipFile):
+            payload = _Payload(self._npz_path(key))
+        except _UNREADABLE:
+            payload = None
+        if payload is None or "times" not in payload.members:
             self._record_miss()
             return None
-        with archive:
-            if "times" not in archive.files:
-                self._record_miss()
-                return None
-            available = {
-                name.removeprefix("series__")
-                for name in archive.files
-                if name.startswith("series__")
+        available = {
+            name.removeprefix("series__")
+            for name in payload.members
+            if name.startswith("series__")
+        }
+        if names is None:
+            wanted: tuple[str, ...] = tuple(sorted(available))
+        else:
+            unknown = [n for n in names if n not in available]
+            if unknown:
+                raise KeyError(
+                    f"unknown series {sorted(unknown)}; this run "
+                    f"sampled: {', '.join(sorted(available))}"
+                )
+            wanted = tuple(names)
+        try:
+            times = payload.array("times")
+            series = {
+                name: payload.array(f"series__{name}") for name in wanted
             }
-            if names is None:
-                wanted: tuple[str, ...] = tuple(sorted(available))
-            else:
-                unknown = [n for n in names if n not in available]
-                if unknown:
-                    raise KeyError(
-                        f"unknown series {sorted(unknown)}; this run "
-                        f"sampled: {', '.join(sorted(available))}"
-                    )
-                wanted = tuple(names)
-            try:
-                times = archive["times"].copy()
-                series = {
-                    name: archive[f"series__{name}"].copy()
-                    for name in wanted
-                }
-            except (OSError, ValueError, zipfile.BadZipFile):  # pragma: no cover - torn npz
-                self._record_miss()
-                return None
+        except _UNREADABLE:
+            self._record_miss()
+            return None
         self._record_hit()
         return StoredSeries(times=times, series=series)
 
@@ -503,7 +581,7 @@ class ResultStore:
     def _rebuild(
         meta: dict,
         arrays: dict[str, np.ndarray],
-        config: SimulationConfig,
+        config: SimulationConfig | None,
     ) -> SimulationResult:
         series = {
             name.removeprefix("series__"): values

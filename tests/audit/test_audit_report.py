@@ -77,6 +77,42 @@ class TestLoader:
         with pytest.raises(AuditReadError, match="sha256"):
             load_shard(target)
 
+    def test_decodes_the_bytes_it_hashed(
+        self, shard_dir, tmp_path, monkeypatch
+    ):
+        """A shard swapped for another valid one right after the hash
+        check must not be what the loader returns."""
+        import hashlib
+        import types
+
+        from repro.audit import report as report_module
+
+        hashed = resolve_shard(shard_dir, method="sqlb")
+        other = resolve_shard(shard_dir, method="capacity")
+        target = tmp_path / hashed.path.name
+        target.write_text(hashed.path.read_text())
+        payload = tmp_path / hashed.manifest["npz"]
+        payload.write_bytes((shard_dir / hashed.manifest["npz"]).read_bytes())
+        swap = (shard_dir / other.manifest["npz"]).read_bytes()
+
+        def sha256_then_swap(data):
+            digest = hashlib.sha256(data)
+            payload.write_bytes(swap)
+            return digest
+
+        monkeypatch.setattr(
+            report_module, "hashlib", types.SimpleNamespace(sha256=sha256_then_swap)
+        )
+        shard = load_shard(target)
+        assert payload.read_bytes() == swap
+        assert shard.arrays.keys() == hashed.arrays.keys()
+        for name, values in hashed.arrays.items():
+            assert shard.arrays[name].tobytes() == values.tobytes(), name
+        assert any(
+            values.tobytes() != other.arrays[name].tobytes()
+            for name, values in hashed.arrays.items()
+        )
+
 
 class TestReport:
     def test_payload_is_json_safe_and_deterministic(self, shard_dir):

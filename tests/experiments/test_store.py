@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.experiments import store as store_module
 from repro.experiments.store import ResultStore, cache_key
 from repro.simulation.config import DepartureRules, WorkloadSpec, tiny_config
 from repro.simulation.engine import run_simulation
@@ -241,6 +247,51 @@ class TestVerify:
         report = store.verify(deep=True)
         assert report.unreadable == (key,)
 
+    def test_deep_verify_flags_what_get_misses_on(
+        self, tmp_path, captive_result
+    ):
+        """The fixture of ``test_schema_mismatched_entry_is_a_miss``:
+        parseable halves ``get`` can never serve are ``unreadable``."""
+        store = ResultStore(tmp_path)
+        key = store.put(captive_result)
+        (tmp_path / f"{key}.json").write_text('{"method_name": "sqlb"}')
+        assert store.get(captive_result.config, "sqlb", 3) is None
+        assert store.verify(deep=False).clean
+        assert store.verify(deep=True).unreadable == (key,)
+
+    def test_unrebuildable_payload_is_unreadable(
+        self, tmp_path, captive_result
+    ):
+        """A well-formed payload ``get`` cannot rebuild (one
+        response-time scalar instead of two) misses and is flagged."""
+        store = ResultStore(tmp_path)
+        key = store.put(captive_result)
+        npz = tmp_path / f"{key}.npz"
+        members = _members(npz.read_bytes())
+        members["response_times.npy"] = _npy(np.zeros(1))
+        npz.write_bytes(_zip(members))
+        assert store.get(captive_result.config, "sqlb", 3) is None
+        assert store.verify(deep=True).unreadable == (key,)
+
+    def test_zero_byte_payload_is_a_miss_and_pruned(
+        self, tmp_path, captive_result
+    ):
+        """What a power loss after the rename leaves without durable
+        writes: every reader misses, and prune repairs it."""
+        store = ResultStore(tmp_path)
+        key = store.put(captive_result)
+        config = captive_result.config
+        (tmp_path / f"{key}.npz").write_bytes(b"")
+        assert store.get(config, "sqlb", 3) is None
+        assert store.load_series(config, "sqlb", 3) is None
+        assert (store.hits, store.misses) == (0, 2)
+        report = store.verify(deep=True)
+        assert report.unreadable == (key,)
+        assert store.prune_invalid(report) == 2
+        assert store.verify().clean
+        store.put(captive_result)
+        assert store.get(config, "sqlb", 3) is not None
+
     def test_prune_invalid_restores_clean(self, tmp_path, captive_result):
         store = ResultStore(tmp_path)
         key = store.put(captive_result)
@@ -304,4 +355,195 @@ class TestDurableWrites:
         assert loaded is not None
         np.testing.assert_array_equal(
             loaded.times(), captive_result.times()
+        )
+
+
+def _npy(array: np.ndarray, **kwargs) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, **kwargs)
+    return buffer.getvalue()
+
+
+def _zip(
+    members: dict[str, bytes], compression: int = zipfile.ZIP_DEFLATED
+) -> bytes:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buffer.getvalue()
+
+
+def _members(payload: bytes) -> dict[str, bytes]:
+    with zipfile.ZipFile(io.BytesIO(payload)) as archive:
+        return {info.filename: archive.read(info) for info in archive.infolist()}
+
+
+def _flip_directory_byte(payload: bytes, offset: int, mask: int) -> bytes:
+    """The payload with one byte of its first zip directory entry
+    flipped; the end record's last fields locate the directory."""
+    at = int.from_bytes(payload[-6:-2], "little") + offset
+    return payload[:at] + bytes([payload[at] ^ mask]) + payload[at + 1 :]
+
+
+def _bad_crc(payload: bytes) -> bytes:
+    return _flip_directory_byte(payload, 16, 0xFF)
+
+
+def _with_times(payload: bytes, times: bytes) -> bytes:
+    return _zip({**_members(payload), "times.npy": times})
+
+
+_TIMES = np.linspace(0.0, 40.0, 9)
+
+#: Each form ``put`` never writes, built from a good payload.  Most
+#: replace ``times``, the one member every read decodes.
+_REFUSED = {
+    "header_version_2": lambda p: _with_times(p, _npy(_TIMES, version=(2, 0))),
+    "fortran_order": lambda p: _with_times(
+        p, _npy(np.asfortranarray(np.ones((3, 2))))
+    ),
+    "object_dtype": lambda p: _with_times(
+        p, _npy(np.array([0.0, None], dtype=object), allow_pickle=True)
+    ),
+    "payload_too_long": lambda p: _with_times(p, _npy(_TIMES) + bytes(8)),
+    "payload_too_short": lambda p: _with_times(p, _npy(_TIMES)[:-8]),
+    "bad_crc": _bad_crc,
+    # A corrupt comment length makes zipfile swallow every later member
+    # silently, leaving ``times`` alone as a plausible-looking payload.
+    "swallowed_members": lambda p: _flip_directory_byte(p, 33, 0x80),
+    "non_npy_member": lambda p: _zip({**_members(p), "notes.txt": b"x"}),
+    "stored_members": lambda p: _zip(_members(p), zipfile.ZIP_STORED),
+    "truncated": lambda p: p[: len(p) // 2],
+    "zero_bytes": lambda p: b"",
+}
+
+
+class TestReader:
+    """The one ``.npz`` reader behind ``get``, ``load_series`` and deep
+    ``verify``."""
+
+    @pytest.fixture(scope="class")
+    def payload_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("payloads")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                hnp.arrays(
+                    np.float64,
+                    st.integers(0, 64),
+                    elements=st.floats(allow_subnormal=True),
+                ),
+                hnp.arrays(np.int64, st.integers(0, 64)),
+                hnp.arrays(np.bool_, st.integers(0, 64)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example(
+        [
+            np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-310]),
+            np.array([], dtype=np.int64),
+            np.array([True, False]),
+        ]
+    )
+    def test_agrees_with_np_load(self, payload_dir, arrays):
+        path = payload_dir / "payload.npz"
+        np.savez_compressed(
+            path, **{f"m{i}": array for i, array in enumerate(arrays)}
+        )
+        payload = store_module._Payload(path)
+        with np.load(path) as reference:
+            assert sorted(payload.members) == sorted(reference.files)
+            for name in reference.files:
+                expected = reference[name]
+                got = payload.array(name)
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+                assert got.flags.writeable and got.flags.owndata
+
+    @pytest.mark.parametrize("form", sorted(_REFUSED))
+    def test_refused_forms_are_misses_and_unreadable(
+        self, tmp_path, captive_result, form
+    ):
+        store = ResultStore(tmp_path)
+        key = store.put(captive_result)
+        npz = tmp_path / f"{key}.npz"
+        good = npz.read_bytes()
+        # The rebuilt control archive is served: only the form differs.
+        npz.write_bytes(_zip(_members(good)))
+        assert store.get(captive_result.config, "sqlb", 3) is not None
+        npz.write_bytes(_REFUSED[form](good))
+        config = captive_result.config
+        assert store.get(config, "sqlb", 3) is None
+        assert store.load_series(config, "sqlb", 3) is None
+        assert (store.hits, store.misses) == (1, 2)
+        assert store.verify(deep=True).unreadable == (key,)
+
+    def test_bad_crc_is_caught_by_the_member_read(
+        self, tmp_path, captive_result
+    ):
+        store = ResultStore(tmp_path)
+        npz = tmp_path / f"{store.put(captive_result)}.npz"
+        npz.write_bytes(_bad_crc(npz.read_bytes()))
+        payload = store_module._Payload(npz)
+        first = next(iter(payload.members))
+        with pytest.raises(zipfile.BadZipFile, match="CRC"):
+            payload.array(first)
+
+    def test_one_header_parse_per_distinct_header(
+        self, tmp_path, monkeypatch, captive_result, autonomous_result
+    ):
+        store = ResultStore(tmp_path)
+        for result in (captive_result, autonomous_result):
+            store.put(result)
+        headers = set()
+        for npz in tmp_path.glob("*.npz"):
+            for raw in _members(npz.read_bytes()).values():
+                headers.add(raw[8 : 10 + int.from_bytes(raw[8:10], "little")])
+        parse = np.lib.format.read_array_header_1_0
+        calls = []
+
+        def counting_parse(fp, *args, **kwargs):
+            calls.append(fp)
+            return parse(fp, *args, **kwargs)
+
+        monkeypatch.setattr(
+            np.lib.format, "read_array_header_1_0", counting_parse
+        )
+        store_module._npy_header.cache_clear()
+        for result in (captive_result, autonomous_result):
+            assert store.get(result.config, result.method_name, result.seed)
+            assert store.load_series(
+                result.config, result.method_name, result.seed
+            )
+        assert store.verify(deep=True).clean
+        assert 1 < len(calls) == len(headers)
+        assert store_module._npy_header.cache_info().maxsize <= 1024
+
+    def test_load_series_decodes_only_what_it_needs(
+        self, tmp_path, monkeypatch, captive_result
+    ):
+        store = ResultStore(tmp_path)
+        store.put(captive_result)
+        decoded = []
+        array = store_module._Payload.array
+
+        def recording_array(payload, name):
+            decoded.append(name)
+            return array(payload, name)
+
+        monkeypatch.setattr(store_module._Payload, "array", recording_array)
+        loaded = store.load_series(
+            captive_result.config, "sqlb", 3, ("response_time_mean",)
+        )
+        assert loaded.names == ("response_time_mean",)
+        assert decoded == ["times", "series__response_time_mean"]
+        np.testing.assert_array_equal(
+            loaded.series["response_time_mean"],
+            captive_result.series("response_time_mean"),
         )

@@ -11,6 +11,8 @@ from repro.experiments.store import ResultStore
 from repro.scheduler.fsck import fsck_queue
 from repro.scheduler.queue import WorkQueue
 from repro.scheduler.worker import QueueWorker
+from repro.simulation.config import tiny_config
+from repro.simulation.engine import run_simulation
 from repro.sweeps.spec import SweepSpec
 
 TTL = 30.0
@@ -216,6 +218,19 @@ class TestStoreChecks:
         (store.root / "deadbeef.json").write_text("{}")
         report = fsck_queue(queue, store=store)
         assert kinds(report) == ["store-unreadable"]
+
+    def test_zero_byte_store_payload_is_repaired(self, tmp_path):
+        # A power loss after the rename, without durable writes.
+        queue = make_queue(tmp_path)
+        store = ResultStore(tmp_path / "store")
+        key = store.put(
+            run_simulation(tiny_config(duration=40.0), "sqlb", seed=3)
+        )
+        (store.root / f"{key}.npz").write_bytes(b"")
+        assert kinds(fsck_queue(queue, store=store)) == ["store-unreadable"]
+        report = fsck_queue(queue, store=store, repair=True)
+        assert not report.unrepaired
+        assert fsck_queue(queue, store=store).clean
 
 
 class TestRepairedQueueDrains:

@@ -876,6 +876,35 @@ class TestReliabilityCommands:
         )
         self._run(capsys, "store", "verify", "--cache-dir", store_dir)
 
+    def test_store_verify_prunes_a_zero_byte_payload(self, tmp_path, capsys):
+        """What a power loss after the rename leaves without durable
+        writes is ``unreadable``, not a traceback, and --prune repairs
+        it."""
+        import json as jsonlib
+
+        from repro.experiments.store import ResultStore
+        from repro.simulation.config import tiny_config
+        from repro.simulation.engine import run_simulation
+
+        store_dir = tmp_path / "store"
+        key = ResultStore(store_dir).put(
+            run_simulation(tiny_config(duration=40.0), "sqlb", seed=3)
+        )
+        (store_dir / f"{key}.npz").write_bytes(b"")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", "verify", "--cache-dir", str(store_dir)])
+        assert excinfo.value.code == 1
+        assert f"unreadable entries: {key}" in capsys.readouterr().out
+        frame = jsonlib.loads(
+            self._run(
+                capsys, "store", "verify", "--cache-dir", str(store_dir),
+                "--prune", "--json",
+            )
+        )
+        assert frame["unreadable"] == [key]
+        assert frame["pruned_files"] == 2
+        self._run(capsys, "store", "verify", "--cache-dir", str(store_dir))
+
     def test_fleet_drains_a_queue(self, tmp_path, capsys, monkeypatch):
         from pathlib import Path as _Path
 
