@@ -19,8 +19,9 @@ The discipline is the telemetry layer's, exactly:
   audited runs are bit-identical to unaudited ones and audited store
   payloads are byte-identical (``ENGINE_VERSION`` stays put).
 * **Crash-safe flush** — shard strictly before manifest, both through
-  tempfile + ``os.replace``; queue gc/fsck age-gate the two crash
-  footprints (``*.npz.tmp`` husks and manifest-less shards).
+  the repo's one atomic writer; queue gc/fsck age-gate the two crash
+  footprints (dot-prefixed temps and manifest-less shards, plus the
+  ``*.npz.tmp`` husks earlier versions left).
 
 Read surfaces live in :mod:`repro.audit.report`: ``repro audit report``
 (shares, score gaps, routing matrices, anomaly detection), ``repro

@@ -10,9 +10,10 @@ plumbing mirrors :mod:`repro.telemetry.registry` exactly:
   guarded by that single ``None`` check, so a disabled run pays one
   attribute load per query and nothing else.
 * A forked pool child inherits the parent's recorder object, so
-  :func:`get_audit` re-resolves from the environment whenever the
-  cached instance's pid is not the current process — each child owns
-  its buffer and commits its own shards.
+  :func:`get_audit` (a :class:`repro._io.ProcessLocal` switch)
+  re-resolves from the environment in any process other than the one
+  that resolved it — each child owns its buffer and commits its own
+  shards.
 * The recorder never touches an RNG stream and never reorders the
   simulation's arithmetic: scores for the audit record are *recomputed*
   from the same pure functions (:func:`repro.core.scoring.omega_vector`
@@ -22,12 +23,13 @@ plumbing mirrors :mod:`repro.telemetry.registry` exactly:
   ways) and ``ENGINE_VERSION`` untouched.
 
 Flush protocol (the store's write-order discipline, in miniature):
-the shard is written first via ``mkstemp(suffix=".npz.tmp")`` +
-``os.replace``, then the manifest via the telemetry layer's
-``atomic_write_bytes``.  The manifest is the commit marker — a reader
-never trusts a shard without one — so the two crash footprints are an
-aged ``*.npz.tmp`` husk and an aged manifest-less ``*.npz``, both of
-which ``queue gc``/``fsck`` recognise as age-gated litter.
+the shard is written first, then the manifest, both through the repo's
+one atomic writer (:func:`repro.reliability.durability.atomic_write`).
+The manifest is the commit marker — a reader never trusts a shard
+without one — so the two crash footprints are an aged dot-prefixed
+temp and an aged manifest-less ``*.npz``, both of which ``queue
+gc``/``fsck`` recognise as age-gated litter (as they do the
+``*.npz.tmp`` husks earlier versions staged shards under).
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ import hashlib
 import io
 import json
 import os
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from repro._io import ProcessLocal
 from repro.core.scoring import omega_vector, provider_score_vector
+from repro.reliability.durability import atomic_write
 from repro.reliability.failpoints import failpoint
-from repro.telemetry.events import atomic_write_bytes
 
 __all__ = [
     "AUDIT_DIR_ENV",
@@ -315,7 +317,7 @@ class DecisionAudit:
         np.savez_compressed(buffer, **arrays)
         shard_bytes = buffer.getvalue()
         failpoint("audit.commit.shard")
-        _replace_write(shard_path, shard_bytes, suffix=".npz.tmp")
+        atomic_write(shard_path, shard_bytes)
         failpoint("audit.commit.manifest")
 
         manifest = {
@@ -338,7 +340,7 @@ class DecisionAudit:
             "fixed_omega": run["fixed_omega"],
         }
         manifest["digest"] = manifest_digest(manifest)
-        atomic_write_bytes(
+        atomic_write(
             manifest_path,
             (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode(
                 "utf-8"
@@ -354,43 +356,20 @@ def _engine_version() -> str:
     return ENGINE_VERSION
 
 
-def _replace_write(path: Path, data: bytes, suffix: str) -> None:
-    """Write-then-rename with a *visible* (undotted) temp suffix.
-
-    The shard half deliberately uses ``<stem>-<rand><suffix>`` instead
-    of the dot-prefixed idiom: gc/fsck age-gate exactly this footprint
-    (``*.npz.tmp``) so a crashed commit is distinguishable from generic
-    atomic-write litter in reports.
-    """
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=f"{path.stem}-", suffix=suffix
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 # ---------------------------------------------------------------------
 # process-wide active recorder
 # ---------------------------------------------------------------------
-
-_active: DecisionAudit | None = None
-_resolved = False
 
 
 def audit_from_environment() -> DecisionAudit | None:
     """A recorder per ``$REPRO_AUDIT_DIR`` (unset/empty → ``None``)."""
     audit_dir = os.environ.get(AUDIT_DIR_ENV, "").strip()
     return DecisionAudit(audit_dir) if audit_dir else None
+
+
+_switch: ProcessLocal[DecisionAudit | None] = ProcessLocal(
+    audit_from_environment
+)
 
 
 def get_audit() -> DecisionAudit | None:
@@ -400,30 +379,20 @@ def get_audit() -> DecisionAudit | None:
     child that inherited the parent's recorder re-resolves so each
     process buffers and commits its own shards.
     """
-    global _active, _resolved
-    if not _resolved or (
-        _active is not None and _active.pid != os.getpid()
-    ):
-        _active = audit_from_environment()
-        _resolved = True
-    return _active
+    return _switch.get()
 
 
 def configure_audit(
     audit_dir: Path | str | None = None, enabled: bool = True
 ) -> DecisionAudit | None:
     """Install (or clear) the process-wide recorder explicitly."""
-    global _active, _resolved
-    _active = (
+    return _switch.set(
         DecisionAudit(audit_dir)
         if enabled and audit_dir is not None
         else None
     )
-    _resolved = True
-    return _active
 
 
-@contextmanager
 def audit_session(audit_dir: Path | str):
     """Scoped recorder for tests.
 
@@ -431,11 +400,4 @@ def audit_session(audit_dir: Path | str):
     active before — including the unresolved lazy state, so a session
     inside a disabled process leaves it disabled.
     """
-    global _active, _resolved
-    previous = (_active, _resolved)
-    audit = DecisionAudit(audit_dir)
-    _active, _resolved = audit, True
-    try:
-        yield audit
-    finally:
-        _active, _resolved = previous
+    return _switch.override(DecisionAudit(audit_dir))

@@ -158,6 +158,7 @@ from repro.experiments.report import (
     format_reason_table,
     format_series_table,
 )
+from repro.reliability.durability import atomic_write
 from repro.simulation.config import (
     DepartureRules,
     WorkloadSpec,
@@ -2389,7 +2390,7 @@ def _audit_bundle_payloads(path: str) -> list[dict]:
 def _write_audit_json(out: str, payload: dict) -> None:
     """Deterministic JSON render: double renders are byte-identical."""
     text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
-    Path(out).write_text(text + "\n", encoding="utf-8")
+    atomic_write(out, (text + "\n").encode("utf-8"))
 
 
 def _cmd_audit(args: argparse.Namespace) -> str:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.reliability.durability import atomic_write
 from repro.simulation.config import (
     DepartureRules,
     SimulationConfig,
@@ -376,6 +377,5 @@ def load_report(path: str) -> dict:
 
 def write_report(report: dict, path: str) -> None:
     """Write a report as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, text.encode("utf-8"))

@@ -23,9 +23,11 @@ Each cached run is two files under the store root:
 * ``<key>.json`` — the metadata: provenance, counters, the departure
   records, and the engine version.
 
-Writes are atomic (tempfile + rename) so a crashed or parallel writer
-never leaves a partially-written entry behind; unreadable entries are
-treated as misses and overwritten on the next ``put``.
+Writes go through the repo's one atomic writer
+(:func:`repro.reliability.durability.atomic_write`, tempfile + rename)
+so a crashed or parallel writer never leaves a partially-written entry
+behind; unreadable entries are treated as misses and overwritten on
+the next ``put``.
 
 Every read decodes the ``.npz`` through one private reader,
 :class:`_Payload`: one file read, numpy's ``.npy`` header parser run
@@ -41,20 +43,13 @@ import hashlib
 import io
 import json
 import math
-import os
-import tempfile
 import zipfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from repro.reliability.durability import (
-    durable_writes_enabled,
-    fsync_dir,
-    fsync_fd,
-)
-from repro.reliability.failpoints import failpoint, torn_payload
+from repro.reliability.durability import atomic_write
 from repro.simulation.config import SimulationConfig
 from repro.simulation.departures import DepartureRecord
 from repro.simulation.engine import ENGINE_VERSION, SimulationResult
@@ -214,46 +209,6 @@ class StoredSeries:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self.series)
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` with no partially-visible state.
-
-    Tempfile + ``os.replace`` is the repo's one durable-write idiom —
-    queue records route through here too.  The three failpoint sites
-    bracket the commit point (``os.replace``) so chaos tests can kill a
-    writer at every distinguishable instant; under
-    ``REPRO_DURABLE_WRITES=1`` the temp file is fsynced before the
-    rename and the parent directory after it, upgrading crash
-    atomicity to power-loss durability.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            torn = torn_payload("store.write.data", data)
-            if torn is not None:
-                # A writer that died mid-write: a truncated temp file
-                # and an error — the final path is never touched.
-                handle.write(torn)
-                handle.flush()
-                raise OSError(
-                    f"torn write (failpoint) while writing {path.name}"
-                )
-            handle.write(data)
-            if durable_writes_enabled():
-                handle.flush()
-                fsync_fd(handle.fileno())
-        failpoint("store.write.before_replace")
-        os.replace(tmp, path)
-        failpoint("store.write.after_replace")
-        if durable_writes_enabled():
-            fsync_dir(path.parent)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @dataclasses.dataclass(frozen=True)
@@ -572,8 +527,8 @@ class ResultStore:
         # the commit marker — a writer that dies between the two writes
         # leaves an invisible orphan npz (verify()/fsck prune it), never
         # a visible entry with a missing payload.
-        _atomic_write_bytes(self._npz_path(key), npz_payload)
-        _atomic_write_bytes(self._json_path(key), json_payload)
+        atomic_write(self._npz_path(key), npz_payload)
+        atomic_write(self._json_path(key), json_payload)
         self._record_write(len(npz_payload) + len(json_payload))
         return key
 

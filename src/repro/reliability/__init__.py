@@ -12,9 +12,16 @@ package is what makes them *provable* instead of assumed:
 * :mod:`repro.reliability.retry` — :func:`retry_io`, the bounded
   exponential-backoff wrapper the transient-``OSError`` sites share,
   with every retry counted into telemetry.
-* :mod:`repro.reliability.durability` — opt-in power-loss durability
-  (``REPRO_DURABLE_WRITES=1``): fsync file + parent directory around
-  the rename in every atomic writer.
+* :mod:`repro.reliability.durability` — :func:`atomic_write`, the
+  one writer every whole-file write in the repo goes through
+  (dot-prefixed temp, then ``os.replace``, or ``os.link`` for an
+  exclusive create), and its opt-in power-loss durability
+  (``REPRO_DURABLE_WRITES=1``: fsync the temp file before the commit
+  and the parent directory after it).
+
+At load time the package imports only the standard library and the
+stdlib-only :mod:`repro._io`, so telemetry can import the writer from
+it without a cycle.
 
 The consumers are ``repro queue fsck`` (the on-disk state-machine
 checker), ``repro queue fleet`` (the self-healing worker supervisor),
@@ -24,6 +31,7 @@ commit point fails.
 
 from repro.reliability.durability import (
     DURABLE_WRITES_ENV,
+    atomic_write,
     configure_durable_writes,
     durable_writes_enabled,
     durable_writes_session,
@@ -51,6 +59,7 @@ __all__ = [
     "FAILPOINTS_SEED_ENV",
     "FailpointError",
     "Failpoints",
+    "atomic_write",
     "configure_durable_writes",
     "configure_failpoints",
     "durable_writes_enabled",

@@ -36,12 +36,13 @@ and ``policy`` decides *when* a hit fires:
 
 Discipline (the same contract as :mod:`repro.telemetry`):
 
-* **Import leaf.**  This module imports nothing from the rest of the
-  package and no third-party code; anything may import it.
+* **Import leaf.**  This module imports only the standard library and
+  the stdlib-only :mod:`repro._io`; anything may import it.
 * **Provable no-op when disabled.**  :func:`failpoint` is one function
-  call and a ``None`` check when ``REPRO_FAILPOINTS`` is unset; the
-  environment is read once per process (re-resolved on fork), never
-  per call, and no clock or RNG is ever touched.
+  call, one pid compare and a ``None`` check when ``REPRO_FAILPOINTS``
+  is unset; the environment is read once per process (re-read by a
+  forked child, through :class:`repro._io.ProcessLocal`), never per
+  call, and no clock or RNG is ever touched.
 * **Simulation RNG streams are never consumed.**  The probability
   policy draws from its own stdlib ``random.Random``; enabling
   failpoints cannot change what any simulation computes — only whether
@@ -63,9 +64,12 @@ Instrumented sites (the commit points of the documented protocols)::
     queue.park                      before an error record is created
     worker.loop                     top of each worker loop iteration
 
-``store.write.*`` fires for every atomic write in the repo — queue
-records route through the same writer — so one glob rule exercises
-every durable write at once.
+``store.write.*`` fires for every atomic write in the repo — every
+whole-file write goes through
+:func:`repro.reliability.durability.atomic_write`, store payloads,
+queue records, manifests, figures, traces, telemetry events, audit
+shards and profiles alike — so one glob rule exercises every write at
+once.
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ import errno
 import fnmatch
 import os
 import random
-from contextlib import contextmanager
+
+from repro._io import ProcessLocal
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -182,7 +187,6 @@ class Failpoints:
     """The parsed, stateful registry of one process's injection rules."""
 
     def __init__(self, rules: list[_Rule], seed: int = 0) -> None:
-        self.pid = os.getpid()
         self._rules = rules
         self._rng = random.Random(seed)
         # site -> rules whose glob matches it, resolved once per site so
@@ -256,11 +260,8 @@ def parse_failpoints(spec: str, seed: int = 0) -> Failpoints:
 
 
 # ---------------------------------------------------------------------
-# process-wide active registry (same lazy/fork discipline as telemetry)
+# process-wide active registry (a ProcessLocal switch, like telemetry)
 # ---------------------------------------------------------------------
-
-_active: Failpoints | None = None
-_resolved = False
 
 
 def _from_environment() -> Failpoints | None:
@@ -271,6 +272,9 @@ def _from_environment() -> Failpoints | None:
     return parse_failpoints(spec, seed=int(seed_raw) if seed_raw else 0)
 
 
+_switch: ProcessLocal[Failpoints | None] = ProcessLocal(_from_environment)
+
+
 def get_failpoints() -> Failpoints | None:
     """The process's active registry, or ``None`` when disabled.
 
@@ -278,37 +282,22 @@ def get_failpoints() -> Failpoints | None:
     child re-resolves, so each process owns fresh hit counters and the
     same seeded decision sequence.
     """
-    global _active, _resolved
-    if not _resolved or (
-        _active is not None and _active.pid != os.getpid()
-    ):
-        _active = _from_environment()
-        _resolved = True
-    return _active
+    return _switch.get()
 
 
 def configure_failpoints(
     spec: str | None, seed: int = 0
 ) -> Failpoints | None:
     """Install (``spec``) or clear (``None``) the registry explicitly."""
-    global _active, _resolved
-    _active = parse_failpoints(spec, seed=seed) if spec else None
-    _resolved = True
-    return _active
+    return _switch.set(parse_failpoints(spec, seed=seed) if spec else None)
 
 
-@contextmanager
 def failpoints_session(spec: str | None, seed: int = 0):
     """Scoped registry for tests: install, yield, restore the previous
     state (including the unresolved lazy state)."""
-    global _active, _resolved
-    previous = (_active, _resolved)
-    registry = parse_failpoints(spec, seed=seed) if spec else None
-    _active, _resolved = registry, True
-    try:
-        yield registry
-    finally:
-        _active, _resolved = previous
+    return _switch.override(
+        parse_failpoints(spec, seed=seed) if spec else None
+    )
 
 
 def failpoint(site: str) -> None:

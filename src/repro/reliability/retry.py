@@ -21,8 +21,6 @@ import time
 from collections.abc import Callable
 from typing import TypeVar
 
-from repro.telemetry.registry import get_telemetry
-
 __all__ = ["retry_io"]
 
 T = TypeVar("T")
@@ -65,6 +63,10 @@ def retry_io(
         try:
             return operation()
         except OSError:
+            # Looked up here, not at import: telemetry imports the
+            # atomic writer from this package.
+            from repro.telemetry.registry import get_telemetry
+
             telemetry = get_telemetry()
             if telemetry is not None:
                 telemetry.count("reliability.retry")

@@ -48,7 +48,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
-from repro.telemetry.events import atomic_write_bytes
+from repro.reliability.durability import atomic_write
 
 __all__ = [
     "ChildOutcome",
@@ -269,7 +269,7 @@ class FleetSupervisor:
             ],
         }
         try:
-            atomic_write_bytes(
+            atomic_write(
                 self.state_path,
                 json.dumps(payload, sort_keys=True).encode("utf-8"),
             )

@@ -30,10 +30,10 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+from repro._io import crash_litter
 from repro.experiments.store import ResultStore
 from repro.scheduler.queue import (
     _LEASE_SEPARATOR,
-    _create_json_exclusive,
     _live_entries,
     _read_json,
     _write_json,
@@ -43,10 +43,10 @@ from repro.scheduler.queue import (
 
 __all__ = ["FsckReport", "Violation", "fsck_queue"]
 
-#: Dot-prefixed atomic-write temporaries younger than this (seconds)
-#: may belong to a live writer and are never flagged — the same grace
-#: :meth:`WorkQueue.gc` applies, so an fsck pass over an actively
-#: draining (or actively chaos-injected) queue stays clean.
+#: Crash litter younger than this (seconds) may belong to a live
+#: writer and is never flagged — the same grace :meth:`WorkQueue.gc`
+#: applies, so an fsck pass over an actively draining (or actively
+#: chaos-injected) queue stays clean.
 DEFAULT_TEMP_AGE = 3600.0
 
 
@@ -94,63 +94,6 @@ class FsckReport:
         }
 
 
-def _aged_temp_files(
-    queue: WorkQueue,
-    now: float,
-    temp_age: float,
-    extra_roots: tuple[Path, ...],
-) -> list[Path]:
-    directories = [
-        queue.root,
-        queue.jobs_dir,
-        queue.pending_dir,
-        queue.leases_dir,
-        queue.done_dir,
-        queue.heartbeats_dir,
-        queue.counters_dir,
-        *extra_roots,
-    ]
-    aged: list[Path] = []
-    for directory in directories:
-        if not directory.is_dir():
-            continue
-        for path in sorted(directory.iterdir()):
-            if not path.is_file():
-                continue
-            if not path.name.startswith("."):
-                # A zero-byte events-*.jsonl is a telemetry husk (a
-                # worker killed before its first flush); a ``*.npz.tmp``
-                # or a manifest-less ``*.npz`` is an audit-flush crash
-                # footprint (the manifest is the commit marker, so a
-                # shard without one can never be read).  All are
-                # age-gated like any other atomic-write litter.  See
-                # :meth:`WorkQueue.gc`.
-                if (
-                    path.name.startswith("events-")
-                    and path.name.endswith(".jsonl")
-                ):
-                    try:
-                        if path.stat().st_size > 0:
-                            continue
-                    except OSError:
-                        continue
-                elif path.name.endswith(".npz.tmp"):
-                    pass
-                elif (
-                    path.suffix == ".npz"
-                    and not path.with_suffix(".json").exists()
-                ):
-                    pass
-                else:
-                    continue
-            try:
-                if now - path.stat().st_mtime >= temp_age:
-                    aged.append(path)
-            except OSError:
-                continue
-    return aged
-
-
 def fsck_queue(
     queue: WorkQueue,
     store: ResultStore | None = None,
@@ -164,7 +107,7 @@ def fsck_queue(
     invariants; with ``repair`` apply the protocol-defined self-repairs.
 
     ``now`` overrides the queue's clock (tests); ``temp_age`` gates how
-    old an orphaned atomic-write temporary must be before it counts.
+    old crash litter must be before it counts.
 
     Checks, in evaluation order (earlier repairs can obviate later
     findings — e.g. a lease discarded under done-wins is no longer an
@@ -196,13 +139,15 @@ def fsck_queue(
         re-run safe; a store hit makes it cheap).
     10. **stranded job** — a job record with no ticket, lease, or done
         record; re-ticket.
-    11. **stale temp** — dot-prefixed atomic-write temporaries,
-        zero-byte telemetry husks, and audit-flush crash footprints
-        (``*.npz.tmp`` husks, manifest-less ``*.npz`` shards) older
-        than ``temp_age``; prune.  ``audit_root`` adds the audit shard
-        directory to the sweep.
+    11. **stale temp** — crash litter (every footprint
+        :func:`repro._io.crash_litter` declares) older than
+        ``temp_age``; prune.  ``audit_root`` adds the audit shard
+        directory to the sweep.  A store payload without its metadata
+        is left to 12.
     12. **store orphans / unreadable entries** — via
-        :meth:`ResultStore.verify`; prune (none can serve as a hit).
+        :meth:`ResultStore.verify`, at any age; prune (none can serve
+        as a hit).  Each finding is reported once, under the same kind
+        with and without ``repair``.
     """
     now = queue.now() if now is None else now
     violations: list[Violation] = []
@@ -258,7 +203,7 @@ def fsck_queue(
         torn_jobs.add(identifier)
         fixed = False
         if repair:
-            _create_json_exclusive(
+            _write_json(
                 queue.done_dir / f"{identifier}.json",
                 {
                     "id": identifier,
@@ -267,6 +212,7 @@ def fsck_queue(
                     "owner": "fsck",
                     "attempts": 0,
                 },
+                exclusive=True,
             )
             ticket = tickets.pop(identifier, None)
             if ticket is not None:
@@ -465,13 +411,19 @@ def fsck_queue(
             fixed,
         )
 
-    # -- 11: aged atomic-write temporaries ----------------------------
-    extra_roots: tuple[Path, ...] = ()
+    # -- 11: aged crash litter ----------------------------------------
+    directories = list(queue.directories)
     if store is not None:
-        extra_roots += (store.root,)
+        directories.append(store.root)
     if audit_root is not None:
-        extra_roots += (Path(audit_root),)
-    for path in _aged_temp_files(queue, now, temp_age, extra_roots):
+        directories.append(Path(audit_root))
+    for path in crash_litter(directories, now, temp_age):
+        if (
+            store is not None
+            and path.parent == store.root
+            and path.suffix == ".npz"
+        ):
+            continue  # a store orphan: check 12 reports it, at any age
         fixed = False
         if repair:
             path.unlink(missing_ok=True)

@@ -56,12 +56,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.store import _atomic_write_bytes, cache_key
-from repro.reliability.durability import (
-    durable_writes_enabled,
-    fsync_dir,
-    fsync_fd,
-)
+from repro._io import crash_litter
+from repro.experiments.store import cache_key
+from repro.reliability.durability import atomic_write
 from repro.reliability.failpoints import failpoint
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import ENGINE_VERSION
@@ -139,7 +136,7 @@ def _telemetry_note(
 def _live_entries(directory: Path) -> list[Path]:
     """Directory entries that are real queue records.
 
-    ``_atomic_write_bytes`` stages dot-prefixed temp files in the same
+    ``atomic_write`` stages dot-prefixed temp files in the same
     directory before the ``os.replace``; a concurrent reader must never
     treat one as a ticket/lease (claiming a half-written ticket or
     "scavenging" an attempts-bump temp would corrupt the protocol).
@@ -211,9 +208,9 @@ class RetryReport:
 class GcReport:
     """What :meth:`WorkQueue.gc` found (and, with ``prune``, removed).
 
-    ``temp_files`` are orphaned atomic-write temporaries (dot-prefixed
-    stage files older than the age threshold — a crashed writer's
-    litter, invisible to queue scans but disk-visible forever);
+    ``temp_files`` are aged crash litter (:func:`repro._io.crash_litter`
+    — a crashed writer's leftovers, invisible to queue scans but
+    disk-visible forever);
     ``stale_heartbeats`` are heartbeats of owners far past their
     deadline holding no leases; ``stranded_jobs`` are job ids with no
     live state (fix with ``retry``, not ``gc``).
@@ -254,40 +251,15 @@ def _read_json(path: Path) -> dict | None:
     return payload if isinstance(payload, dict) else None
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write_bytes(
-        path, json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
+def _write_json(
+    path: Path, payload: dict, exclusive: bool = False
+) -> bool:
+    """Atomically write one queue record (see ``atomic_write``)."""
+    return atomic_write(
+        path,
+        json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"),
+        exclusive=exclusive,
     )
-
-
-def _create_json_exclusive(path: Path, payload: dict) -> bool:
-    """Atomically create ``path`` only if it does not exist yet.
-
-    Write-to-temp + ``os.link`` gives both atomicity (the linked file
-    is complete) and exclusivity (link fails if the name exists) —
-    ``os.replace`` would clobber and ``O_EXCL`` alone is not atomic.
-    Returns False when the path already existed.
-    """
-    data = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            if durable_writes_enabled():
-                handle.flush()
-                fsync_fd(handle.fileno())
-        try:
-            os.link(tmp, path)
-        except FileExistsError:
-            return False
-        if durable_writes_enabled():
-            fsync_dir(path.parent)
-        return True
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:  # pragma: no cover - already gone
-            pass
 
 
 class WorkQueue:
@@ -391,6 +363,19 @@ class WorkQueue:
     @property
     def _queue_file(self) -> Path:
         return self.root / "queue.json"
+
+    @property
+    def directories(self) -> tuple[Path, ...]:
+        """The queue root and every record directory under it."""
+        return (
+            self.root,
+            self.jobs_dir,
+            self.pending_dir,
+            self.leases_dir,
+            self.done_dir,
+            self.heartbeats_dir,
+            self.counters_dir,
+        )
 
     @property
     def jobs_dir(self) -> Path:
@@ -675,7 +660,7 @@ class WorkQueue:
             # error verdict must never clobber a real result (ack's
             # overwrite in the other direction is intentional).
             failpoint("queue.park")
-            created = _create_json_exclusive(
+            created = _write_json(
                 self.done_dir / f"{identifier}.json",
                 {
                     "id": identifier,
@@ -684,6 +669,7 @@ class WorkQueue:
                     "owner": owner,
                     "attempts": attempts,
                 },
+                exclusive=True,
             )
             lease_path.unlink(missing_ok=True)
             if created:
@@ -1050,25 +1036,17 @@ class WorkQueue:
     ) -> GcReport:
         """Find (and with ``prune``, remove) queue-directory litter.
 
-        Orphaned atomic-write temporaries are dot-prefixed files older
-        than ``temp_age`` seconds (younger ones may belong to a live
-        writer and are left alone) in the queue directories and any
-        ``extra_roots`` (the CLI passes the result store, its manifest
-        directory, and the telemetry and audit directories).  Zero-byte
-        ``events-*.jsonl`` husks — a worker killed between ``mkstemp``
-        and its first telemetry flush — are age-gated the same way:
-        they hold no events and nothing will ever write to them again.
-        So are the decision-audit flush's crash footprints:
-        ``*.npz.tmp`` husks and manifest-less ``*.npz`` shards (the
-        manifest is the commit marker, so an unpaired shard is
-        unreadable litter).
-        Heartbeats are stale once their *file*
-        has not been touched for ``heartbeat_grace`` seconds past the
-        recorded TTL *and* the owner holds no leases — a crashed
-        worker's last sign of life that would otherwise sit in
-        ``status`` output forever.  Stranded jobs are reported for
-        ``retry`` but never pruned: deleting state is not how a queue
-        repairs itself.
+        Crash litter is every footprint :func:`repro._io.crash_litter`
+        declares that is older than ``temp_age`` seconds — younger ones
+        may belong to a live writer and are left alone — in the queue
+        directories and any ``extra_roots`` (the CLI passes the result
+        store, its manifest directory, and the telemetry and audit
+        directories).  Heartbeats are stale once their *file* has not
+        been touched for ``heartbeat_grace`` seconds past the recorded
+        TTL *and* the owner holds no leases — a crashed worker's last
+        sign of life that would otherwise sit in ``status`` output
+        forever.  Stranded jobs are reported for ``retry`` but never
+        pruned: deleting state is not how a queue repairs itself.
 
         All ages are judged against the shared filesystem's clock
         (:meth:`filesystem_now`) and file mtimes — both stamped by the
@@ -1077,56 +1055,9 @@ class WorkQueue:
         heartbeat.  ``now`` overrides the probe (tests).
         """
         now = self.filesystem_now() if now is None else now
-        directories = [
-            self.root,
-            self.jobs_dir,
-            self.pending_dir,
-            self.leases_dir,
-            self.done_dir,
-            self.heartbeats_dir,
-            self.counters_dir,
-            *(Path(root) for root in extra_roots),
-        ]
-        temp_files: list[Path] = []
-        for directory in directories:
-            if not directory.is_dir():
-                continue
-            for path in sorted(directory.iterdir()):
-                if not path.is_file():
-                    continue
-                if not path.name.startswith("."):
-                    # Aged zero-byte events files count as litter too,
-                    # as are the audit flush's two crash footprints: a
-                    # ``*.npz.tmp`` husk (killed between mkstemp and
-                    # replace) and a manifest-less ``*.npz`` shard
-                    # (killed between the shard and its manifest — the
-                    # manifest is the commit marker, so nothing will
-                    # ever read the shard).  Anything else undotted is
-                    # a real record.
-                    if (
-                        path.name.startswith("events-")
-                        and path.name.endswith(".jsonl")
-                    ):
-                        try:
-                            if path.stat().st_size > 0:
-                                continue
-                        except OSError:
-                            continue
-                    elif path.name.endswith(".npz.tmp"):
-                        pass
-                    elif (
-                        path.suffix == ".npz"
-                        and not path.with_suffix(".json").exists()
-                    ):
-                        pass
-                    else:
-                        continue
-                try:
-                    age = now - path.stat().st_mtime
-                except OSError:
-                    continue
-                if age >= temp_age:
-                    temp_files.append(path)
+        temp_files = crash_litter(
+            (*self.directories, *extra_roots), now, temp_age
+        )
         lease_owners = self.lease_owners()
         stale_heartbeats: list[str] = []
         for heartbeat in self.heartbeats():

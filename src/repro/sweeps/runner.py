@@ -30,7 +30,8 @@ from repro.experiments.executor import (
     ExperimentExecutor,
     get_default_executor,
 )
-from repro.experiments.store import _atomic_write_bytes, cache_key
+from repro.experiments.store import cache_key
+from repro.reliability.durability import atomic_write
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import ENGINE_VERSION
 from repro.sweeps.spec import SweepSpec
@@ -246,7 +247,7 @@ def write_manifest(
         **identity,
     }
     path = directory / f"{spec.spec_hash()}.{env_hash}.{name_suffix}.json"
-    _atomic_write_bytes(
+    atomic_write(
         path, json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8")
     )
     return path

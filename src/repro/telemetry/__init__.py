@@ -18,7 +18,6 @@ from repro.telemetry.bundle import render_bundle, write_bundle
 from repro.telemetry.events import (
     EVENT_SCHEMA_VERSION,
     TelemetryReadError,
-    atomic_write_bytes,
     encode_event,
     read_events,
     read_events_dir,
@@ -73,7 +72,6 @@ __all__ = [
     "TimerStats",
     "active_profile_dir",
     "aggregate_events",
-    "atomic_write_bytes",
     "collect_hotspots",
     "configure_telemetry",
     "current_trace_id",

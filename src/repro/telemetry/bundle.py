@@ -19,8 +19,8 @@ a reviewer needs to judge a fleet drain:
 Determinism is a contract, not an accident: the renderer reads no
 clock, generates no ids, and serialises every embedded JSON blob with
 sorted keys — rendering the same merged stream twice yields the same
-bytes (CI diffs a double render).  Output goes through the same
-tempfile + ``os.replace`` idiom as the figure catalog's exports.
+bytes (CI diffs a double render).  Output goes through the repo's
+one atomic writer, like the figure catalog's exports.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import json
 import time
 from pathlib import Path
 
+from repro.reliability.durability import atomic_write
 from repro.telemetry.report import aggregate_events
 from repro.telemetry.timeline import drain_timeline
 
@@ -371,10 +372,8 @@ def write_bundle(
     audit: list[dict] | None = None,
 ) -> Path:
     """Render and atomically write the bundle; returns the path."""
-    from repro.telemetry.events import atomic_write_bytes
-
     path = Path(path)
-    atomic_write_bytes(
+    atomic_write(
         path,
         render_bundle(
             events, bench, title, bench_history=bench_history, audit=audit

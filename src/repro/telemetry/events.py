@@ -9,26 +9,22 @@ truncated SHA-256 of the line's canonical JSON without the stamp — so
 the read side can tell a complete, untampered event from a torn or
 hand-edited one and refuse loudly instead of aggregating garbage.
 
-Files are written whole via the result store's tempfile +
-``os.replace`` idiom (re-implemented here rather than imported: the
-store transitively imports the engine, and the engine imports this
-package — telemetry stays stdlib-only and import-cycle-free), so a
-reader never observes a partially-written file from a live writer;
-a torn file therefore indicates real corruption, not a race.
+Files are written whole through the repo's one atomic writer,
+:func:`repro.reliability.durability.atomic_write` (stdlib-only, so
+telemetry stays free of numpy and the engine), so a reader never
+observes a partially-written file from a live writer; a torn file
+therefore indicates real corruption, not a race.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "TelemetryReadError",
-    "atomic_write_bytes",
     "encode_event",
     "read_events",
     "read_events_dir",
@@ -45,26 +41,6 @@ _DIGEST_LENGTH = 16
 
 class TelemetryReadError(ValueError):
     """A telemetry events file is torn, tampered, or not this schema."""
-
-
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write-then-rename so readers never see a partial file.
-
-    Same idiom (and dot-prefixed temp naming, so queue gc recognises
-    orphans) as ``repro.experiments.store._atomic_write_bytes``.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _canonical(event: dict) -> str:
@@ -101,15 +77,15 @@ def read_events(path: Path | str) -> list[dict]:
     """Every event of one JSONL file, refusing torn or tampered lines.
 
     Raises :class:`TelemetryReadError` on the first undecodable or
-    digest-mismatched line — a file written through
-    :func:`atomic_write_bytes` is all-or-nothing, so a bad line means
-    the file was truncated, concatenated, or edited and *none* of it
-    should be trusted for aggregation.
+    digest-mismatched line — a file written through the atomic writer
+    is all-or-nothing, so a bad line means the file was truncated,
+    concatenated, or edited and *none* of it should be trusted for
+    aggregation.
 
-    A zero-byte file is *not* torn: a worker killed between ``mkstemp``
-    and its first flush leaves one behind legitimately, and it simply
-    holds no events.  Queue gc/fsck age-gate such husks away like any
-    other atomic-write litter.
+    A zero-byte file is *not* torn: it is what a power loss leaves
+    when the rename reached the disk and the data did not (durable
+    writes off), and it simply holds no events.  Queue gc/fsck
+    age-gate such husks away like any other crash litter.
     """
     path = Path(path)
     events: list[dict] = []

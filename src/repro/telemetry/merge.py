@@ -20,7 +20,7 @@ Its timestamp is the newest input event's (never the merging wall
 clock), which is what keeps warm re-merges byte-identical.  Inputs are
 read through :func:`repro.telemetry.events.read_events`, so a torn or
 tampered file refuses the whole merge loudly; the output is written
-with the same tempfile + rename idiom every other artifact uses.
+through the one atomic writer every other artifact uses.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+from repro.reliability.durability import atomic_write
 from repro.telemetry.events import (
     EVENT_SCHEMA_VERSION,
     TelemetryReadError,
-    atomic_write_bytes,
     encode_event,
     read_events,
 )
@@ -100,7 +100,7 @@ def merge_events(
         },
     }
     lines.append(encode_event(manifest))
-    atomic_write_bytes(out, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(out, ("\n".join(lines) + "\n").encode("utf-8"))
     return {
         "out": str(out),
         "files": len(sources),

@@ -7,11 +7,12 @@ the executor wrap each job in :class:`cProfile.Profile` and dump one
 Everything about it follows the telemetry package's rules:
 
 * **off by default, zero hot-path cost when off** — the executor
-  checks one pid-cached environment lookup and otherwise touches no
-  profiler, file, or clock;
-* **per-job flush** — stats are dumped as each job finishes (atomic
-  dot-temp + rename), so process-pool children that are torn down with
-  the pool never lose data;
+  checks one pid-cached environment lookup (a
+  :class:`repro._io.ProcessLocal`) and otherwise touches no profiler,
+  file, or clock;
+* **per-job flush** — stats are dumped as each job finishes, through
+  the repo's one atomic writer, so process-pool children that are
+  torn down with the pool never lose data;
 * **stdlib only** — ``cProfile``/``pstats`` ship with CPython.
 
 ``repro telemetry hotspots`` then aggregates every dump under the
@@ -25,11 +26,14 @@ from __future__ import annotations
 
 import cProfile
 import itertools
+import marshal
 import os
 import socket
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+
+from repro._io import ProcessLocal
+from repro.reliability.durability import atomic_write
 
 __all__ = [
     "PROFILE_DIR_ENV",
@@ -43,34 +47,37 @@ __all__ = [
 #: profiling process-wide (fork-based pool children inherit it).
 PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
 
-_resolved_pid: int | None = None
-_resolved_dir: Path | None = None
 _dump_counter = itertools.count()
+
+
+def _profile_dir_from_environment() -> Path | None:
+    value = os.environ.get(PROFILE_DIR_ENV, "").strip()
+    return Path(value) if value else None
+
+
+_switch: ProcessLocal[Path | None] = ProcessLocal(
+    _profile_dir_from_environment
+)
 
 
 def active_profile_dir() -> Path | None:
     """The profile directory, or ``None`` when profiling is off.
 
-    Cached per pid (same re-resolution contract as
+    Cached per pid (the same switch as
     :func:`repro.telemetry.registry.get_telemetry`) so the disabled
     path costs one function call and an integer compare.
     """
-    global _resolved_pid, _resolved_dir
-    pid = os.getpid()
-    if pid != _resolved_pid:
-        value = os.environ.get(PROFILE_DIR_ENV, "").strip()
-        _resolved_dir = Path(value) if value else None
-        _resolved_pid = pid
-    return _resolved_dir
+    return _switch.get()
 
 
 @contextmanager
 def profile_job(profile_dir: Path | None):
     """Profile the block and dump its stats, or do nothing when off.
 
-    The dump goes through a dot-prefixed temporary and ``os.replace``
-    like every other artifact, so readers never see a torn stats file
-    and queue gc recognises crashed-writer litter.
+    The dump holds the bytes :meth:`cProfile.Profile.dump_stats` would
+    write and goes through the atomic writer like every other
+    artifact, so readers never see a torn stats file and queue gc
+    recognises crashed-writer litter.
     """
     if profile_dir is None:
         yield
@@ -81,25 +88,13 @@ def profile_job(profile_dir: Path | None):
         yield
     finally:
         profiler.disable()
+        profiler.create_stats()
         profile_dir.mkdir(parents=True, exist_ok=True)
         name = (
             f"profile-{socket.gethostname()}-{os.getpid()}"
             f"-{next(_dump_counter)}.pstats"
         )
-        path = profile_dir / name
-        fd, tmp = tempfile.mkstemp(
-            dir=profile_dir, prefix=f".{name}."
-        )
-        os.close(fd)
-        try:
-            profiler.dump_stats(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(profile_dir / name, marshal.dumps(profiler.stats))
 
 
 def collect_hotspots(profile_dir: Path | str, top: int = 15) -> dict:

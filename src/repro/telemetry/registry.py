@@ -22,10 +22,10 @@ Invariants the rest of the repo relies on:
   :func:`repro.telemetry.events.read_events`.
 
 Process-pool children are handled explicitly: a forked child inherits
-the parent's registry object, so :func:`get_telemetry` re-resolves
-from the environment whenever the cached instance's pid is not the
-current process — each pool worker writes its own events file and
-never doubles the parent's.
+the parent's registry object, so :func:`get_telemetry` (a
+:class:`repro._io.ProcessLocal` switch) re-resolves from the
+environment in any process other than the one that resolved it — each
+pool worker writes its own events file and never doubles the parent's.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.telemetry.events import (
-    EVENT_SCHEMA_VERSION,
-    atomic_write_bytes,
-    encode_event,
-)
+from repro._io import ProcessLocal
+from repro.reliability.durability import atomic_write
+from repro.telemetry.events import EVENT_SCHEMA_VERSION, encode_event
 from repro.telemetry.tracing import current_trace_id
 
 __all__ = [
@@ -280,9 +278,7 @@ class Telemetry:
             encode_event(event)
             for event in (*self._events, snapshot_event)
         ]
-        atomic_write_bytes(
-            path, ("\n".join(lines) + "\n").encode("utf-8")
-        )
+        atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
         return path
 
 
@@ -290,14 +286,16 @@ class Telemetry:
 # process-wide active registry
 # ---------------------------------------------------------------------
 
-_active: Telemetry | None = None
-_resolved = False
-
 
 def telemetry_from_environment() -> Telemetry | None:
     """A registry per ``$REPRO_TELEMETRY_DIR`` (unset/empty → ``None``)."""
     events_dir = os.environ.get(TELEMETRY_DIR_ENV, "").strip()
     return Telemetry(events_dir) if events_dir else None
+
+
+_switch: ProcessLocal[Telemetry | None] = ProcessLocal(
+    telemetry_from_environment
+)
 
 
 def get_telemetry() -> Telemetry | None:
@@ -307,13 +305,7 @@ def get_telemetry() -> Telemetry | None:
     child that inherited the parent's registry re-resolves so each
     process owns its events file and nothing is double-counted.
     """
-    global _active, _resolved
-    if not _resolved or (
-        _active is not None and _active.pid != os.getpid()
-    ):
-        _active = telemetry_from_environment()
-        _resolved = True
-    return _active
+    return _switch.get()
 
 
 def configure_telemetry(
@@ -325,13 +317,9 @@ def configure_telemetry(
     environment; otherwise a fresh registry is installed, flushing to
     ``events_dir`` (``None`` = in-memory only).
     """
-    global _active, _resolved
-    _active = Telemetry(events_dir) if enabled else None
-    _resolved = True
-    return _active
+    return _switch.set(Telemetry(events_dir) if enabled else None)
 
 
-@contextmanager
 def telemetry_session(events_dir: Path | str | None = None):
     """Scoped registry for tests and the perf harness.
 
@@ -339,11 +327,4 @@ def telemetry_session(events_dir: Path | str | None = None):
     active before — including the unresolved lazy state, so a session
     inside a disabled process leaves it disabled.
     """
-    global _active, _resolved
-    previous = (_active, _resolved)
-    telemetry = Telemetry(events_dir)
-    _active, _resolved = telemetry, True
-    try:
-        yield telemetry
-    finally:
-        _active, _resolved = previous
+    return _switch.override(Telemetry(events_dir))

@@ -118,19 +118,14 @@ class TestCrashFootprints:
 class TestPlumbing:
     @pytest.fixture(autouse=True)
     def _restore_active(self):
-        previous = (
-            recorder_module._active,
-            recorder_module._resolved,
-        )
-        yield
-        recorder_module._active, recorder_module._resolved = previous
+        with recorder_module._switch.override(None):
+            yield
 
     def test_get_audit_resolves_from_environment(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(AUDIT_DIR_ENV, str(tmp_path))
-        recorder_module._active = None
-        recorder_module._resolved = False
+        recorder_module._switch.reset()
         audit = get_audit()
         assert audit is not None
         assert audit.audit_dir == tmp_path
@@ -138,16 +133,15 @@ class TestPlumbing:
 
     def test_unset_environment_means_disabled(self, monkeypatch):
         monkeypatch.delenv(AUDIT_DIR_ENV, raising=False)
-        recorder_module._active = None
-        recorder_module._resolved = False
+        recorder_module._switch.reset()
         assert get_audit() is None
 
     def test_foreign_pid_re_resolves(self, tmp_path, monkeypatch):
         monkeypatch.setenv(AUDIT_DIR_ENV, str(tmp_path))
         inherited = DecisionAudit(tmp_path)
         inherited.pid = inherited.pid + 1  # a forked child's view
-        recorder_module._active = inherited
-        recorder_module._resolved = True
+        recorder_module._switch.set(inherited)
+        recorder_module._switch._pid = inherited.pid
         fresh = get_audit()
         assert fresh is not inherited
         assert fresh.pid == os.getpid()

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.store import _atomic_write_bytes
 from repro.reliability import (
     CRASH_EXIT_CODE,
     FAILPOINTS_ENV,
@@ -25,6 +24,7 @@ from repro.reliability import (
     torn_payload,
     trip_counts,
 )
+from repro.reliability.durability import atomic_write
 from repro.reliability.durability import fsync_dir
 from repro.telemetry.registry import telemetry_session
 
@@ -140,7 +140,7 @@ class TestTornPayload:
         target = tmp_path / "record.json"
         with failpoints_session("store.write.data:torn:1"):
             with pytest.raises(OSError, match="torn write"):
-                _atomic_write_bytes(target, b"payload-bytes")
+                atomic_write(target, b"payload-bytes")
         assert not target.exists()
 
 
@@ -159,7 +159,7 @@ class TestRegistryLifecycle:
         # Force lazy re-resolution from the (patched) environment.
         import repro.reliability.failpoints as module
 
-        module._resolved = False
+        module._switch.reset()
         registry = get_failpoints()
         assert registry is not None
         with pytest.raises(FailpointError):
@@ -287,12 +287,12 @@ class TestDurability:
         from repro.reliability import durable_writes_enabled
 
         assert durable_writes_enabled() is False
-        _atomic_write_bytes(tmp_path / "x", b"data")
+        atomic_write(tmp_path / "x", b"data")
         assert (tmp_path / "x").read_bytes() == b"data"
 
     def test_durable_write_round_trips(self, tmp_path):
         with durable_writes_session(True):
-            _atomic_write_bytes(tmp_path / "x", b"durable-data")
+            atomic_write(tmp_path / "x", b"durable-data")
         assert (tmp_path / "x").read_bytes() == b"durable-data"
 
     def test_env_truthy_values(self, monkeypatch):

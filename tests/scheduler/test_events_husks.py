@@ -43,8 +43,8 @@ class TestGc:
         assert not husk.exists()
 
     def test_young_husk_left_alone(self, tmp_path):
-        # A just-spawned worker legitimately owns a zero-byte file
-        # between mkstemp and its first flush.
+        # Every footprint shares one age gate: a young zero-byte file
+        # is never litter.
         queue = WorkQueue.init(tmp_path / "q", spec())
         telemetry_dir = tmp_path / "events"
         telemetry_dir.mkdir()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
@@ -231,6 +233,27 @@ class TestStoreChecks:
         report = fsck_queue(queue, store=store, repair=True)
         assert not report.unrepaired
         assert fsck_queue(queue, store=store).clean
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_aged_orphan_payload_is_reported_once(self, tmp_path, repair):
+        # An aged payload without its metadata is both crash litter and
+        # a store orphan; it must be one finding, of one kind, whether
+        # or not fsck repairs it.
+        queue = make_queue(tmp_path)
+        store = ResultStore(tmp_path / "store")
+        key = store.put(
+            run_simulation(tiny_config(duration=40.0), "sqlb", seed=3)
+        )
+        (store.root / f"{key}.json").unlink()
+        payload = store.root / f"{key}.npz"
+        old = time.time() - 10_000.0
+        os.utime(payload, (old, old))
+        report = fsck_queue(queue, store=store, temp_age=3600, repair=repair)
+        assert [(v.kind, v.subject) for v in report.violations] == [
+            ("store-orphan-npz", key)
+        ]
+        assert report.violations[0].repaired is repair
+        assert payload.exists() is not repair
 
 
 class TestRepairedQueueDrains:

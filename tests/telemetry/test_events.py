@@ -6,10 +6,10 @@ import json
 
 import pytest
 
+from repro.reliability.durability import atomic_write
 from repro.telemetry.events import (
     EVENT_SCHEMA_VERSION,
     TelemetryReadError,
-    atomic_write_bytes,
     encode_event,
     read_events,
     read_events_dir,
@@ -59,7 +59,7 @@ class TestEncodeVerify:
 
 class TestReadEvents:
     def write(self, path, lines):
-        atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+        atomic_write(path, ("\n".join(lines) + "\n").encode())
 
     def test_reads_every_line(self, tmp_path):
         path = tmp_path / "events-h-1-0.jsonl"
@@ -114,7 +114,7 @@ class TestReadEventsDir:
 
     def test_merges_files_in_sorted_order(self, tmp_path):
         for token, span in (("b", 2), ("a", 1)):
-            atomic_write_bytes(
+            atomic_write(
                 tmp_path / f"events-h-1-{token}.jsonl",
                 (encode_event(sample_event(id=span)) + "\n").encode(),
             )
@@ -122,7 +122,7 @@ class TestReadEventsDir:
         assert [event["id"] for event in events] == [1, 2]
 
     def test_ignores_unrelated_and_temp_files(self, tmp_path):
-        atomic_write_bytes(
+        atomic_write(
             tmp_path / "events-h-1-0.jsonl",
             (encode_event(sample_event()) + "\n").encode(),
         )

@@ -83,8 +83,8 @@ class TestMergeEvents:
 
 
 class TestZeroByteHusks:
-    """A worker killed between mkstemp and first flush leaves a
-    zero-byte events file; that is 'no events', never a torn file."""
+    """A power loss with durable writes off can leave a zero-byte
+    events file; that is 'no events', never a torn file."""
 
     def test_read_events_zero_byte_is_empty(self, tmp_path):
         husk = tmp_path / "events-host-1-0.jsonl"

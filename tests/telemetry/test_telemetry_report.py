@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry.events import TelemetryReadError, atomic_write_bytes
+from repro.reliability.durability import atomic_write
+from repro.telemetry.events import TelemetryReadError
 from repro.telemetry.registry import Telemetry
 from repro.telemetry.report import (
     PHASE_ORDER,
@@ -110,7 +111,7 @@ class TestRefusal:
         flush_process(tmp_path, pid_counters={"executor.jobs": 1})
         [path] = tmp_path.glob("events-*.jsonl")
         text = path.read_text()
-        atomic_write_bytes(path, text[: len(text) - 10].encode())
+        atomic_write(path, text[: len(text) - 10].encode())
         with pytest.raises(TelemetryReadError):
             telemetry_report(tmp_path)
 
