@@ -1,8 +1,10 @@
-"""Legacy shim so editable installs work without the `wheel` package.
+"""Legacy shim for offline installs without the ``wheel`` package.
 
-Offline environments here lack `wheel`, which PEP 517 editable installs
-require; `pip install -e . --no-build-isolation --no-use-pep517` goes
-through this file instead.  All metadata lives in pyproject.toml.
+All metadata lives in pyproject.toml.  Where ``wheel`` is missing and
+nothing can be downloaded, pip refuses both the PEP 517 editable
+install and ``--no-use-pep517`` (which needs ``wheel`` too); run
+``python setup.py develop`` instead, which reads the same metadata.
+Everywhere else use ``python -m pip install -e ".[test]"``.
 """
 
 from setuptools import setup

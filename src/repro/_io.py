@@ -21,9 +21,14 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Generic, TypeVar
 
-__all__ = ["ProcessLocal", "crash_litter"]
+__all__ = ["DEFAULT_TEMP_AGE", "ProcessLocal", "crash_litter"]
 
 T = TypeVar("T")
+
+#: Crash footprints younger than this (seconds) may belong to a live
+#: writer: ``queue gc``, ``queue fsck`` and ``store verify --prune``
+#: leave them alone.
+DEFAULT_TEMP_AGE = 3600.0
 
 
 class ProcessLocal(Generic[T]):

@@ -2,13 +2,13 @@
 
 The engine's other observability layers (telemetry, tracing) watch the
 infrastructure *around* a run — phases, spans, drains.  This package
-watches the decision itself: an opt-in recorder threaded through
-:meth:`repro.simulation.engine.MediatorSimulation._dispatch` captures,
-for every issued query, the candidate set size, the per-candidate SQLB
-scores for the top-K, the chosen provider, whether the allocation was
-imposed, and the satisfaction/adequation deltas applied — buffered
-in-engine and flushed once per run as a compact columnar ``.npz`` shard
-plus a digest-stamped JSON manifest.
+watches the decision itself: an opt-in engine observer whose
+``on_decision`` hook captures, for every served query, the candidate
+set size, the per-candidate SQLB scores for the top-K, the chosen
+provider, whether the allocation was imposed, and the
+satisfaction/adequation deltas applied — buffered in-process and
+flushed once per run as a compact columnar ``.npz`` shard plus a
+digest-stamped JSON manifest.
 
 The discipline is the telemetry layer's, exactly:
 

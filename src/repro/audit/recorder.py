@@ -2,13 +2,15 @@
 
 One :class:`DecisionAudit` instance per process buffers the decision
 records of the run in flight and flushes them once, off the hot path,
-as a columnar ``.npz`` shard plus a digest-stamped JSON manifest.  The
+as a columnar ``.npz`` shard plus a digest-stamped JSON manifest.  It
+is a plain engine observer: the engine binds its ``on_run_start``,
+``on_unserved`` and ``on_decision`` hooks once, at construction.  The
 plumbing mirrors :mod:`repro.telemetry.registry` exactly:
 
 * :func:`get_audit` returns ``None`` unless ``$REPRO_AUDIT_DIR`` is
-  set or :func:`configure_audit` was called — every engine hook is
-  guarded by that single ``None`` check, so a disabled run pays one
-  attribute load per query and nothing else.
+  set or :func:`configure_audit` was called — the engine binds the
+  hooks only then, so a disabled run pays an empty hook loop per
+  query and nothing else.
 * A forked pool child inherits the parent's recorder object, so
   :func:`get_audit` (a :class:`repro._io.ProcessLocal` switch)
   re-resolves from the environment in any process other than the one
@@ -78,6 +80,32 @@ AUDIT_TOP_K = 4
 #: the telemetry event stamp).
 _DIGEST_LENGTH = 16
 
+#: The per-decision shard columns, in shard order, with their dtypes.
+#: Buffered as Python lists; the ``topk_*`` rows are fixed-width
+#: ``AUDIT_TOP_K`` arrays, stacked at commit.
+_COLUMNS = {
+    "time": float,
+    "consumer": np.int64,
+    "klass": np.int64,
+    "n_desired": np.int64,
+    "n_candidates": np.int64,
+    "cache_hit": np.uint8,
+    "chosen": np.int64,
+    "n_selected": np.int64,
+    "imposed": np.uint8,
+    "chosen_score": float,
+    "chosen_rank": np.int64,
+    "score_gap": float,
+    "adequation": float,
+    "satisfaction": float,
+    "consumer_satisfaction": float,
+    "topk_providers": np.int64,
+    "topk_scores": float,
+    "topk_ci": float,
+    "topk_pi": float,
+    "topk_utilization": float,
+}
+
 
 def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -111,78 +139,43 @@ class DecisionAudit:
         self.audit_dir = Path(audit_dir)
         self._run: dict | None = None
 
-    # -- engine-facing hooks ------------------------------------------
+    # -- engine observer hooks ----------------------------------------
 
-    def begin_run(
-        self,
-        method: str,
-        seed: int,
-        capacity_rates: np.ndarray,
-        n_classes: int,
-        epsilon: float,
-        fixed_omega: float | None,
-    ) -> None:
-        """Reset the buffer for one run (engine ``__init__``).
+    def on_run_start(self, sim) -> None:
+        """Reset the buffer for the run ``sim`` is starting.
 
-        ``method`` here is the engine's method name (provenance only);
-        the shard's filename method comes from the registry name the
-        committing executor passes to :meth:`commit`.
+        ``sim.method.name`` is kept as the engine's method name
+        (provenance only); the shard's filename method comes from the
+        registry name the committing executor passes to :meth:`commit`.
         """
+        config = sim.config
+        omega = config.fixed_omega
         self._run = {
-            "engine_method": str(method),
-            "seed": int(seed),
-            "capacity_rates": np.asarray(capacity_rates, dtype=float).copy(),
-            "n_classes": int(n_classes),
-            "epsilon": float(epsilon),
-            "fixed_omega": None if fixed_omega is None else float(fixed_omega),
+            "engine_method": str(sim.method.name),
+            "seed": int(sim.seed),
+            "capacity_rates": sim.capacity.rates.astype(float),
+            "n_classes": len(config.query_classes.costs),
+            "epsilon": float(config.epsilon),
+            "fixed_omega": None if omega is None else float(omega),
             "unserved": 0,
-            # Columnar per-decision buffers (scalars as Python lists,
-            # top-K rows as fixed-width arrays stacked at commit).
-            "time": [],
-            "consumer": [],
-            "klass": [],
-            "n_desired": [],
-            "n_candidates": [],
-            "cache_hit": [],
-            "chosen": [],
-            "n_selected": [],
-            "imposed": [],
-            "chosen_score": [],
-            "chosen_rank": [],
-            "score_gap": [],
-            "adequation": [],
-            "satisfaction": [],
-            "consumer_satisfaction": [],
-            "topk_providers": [],
-            "topk_scores": [],
-            "topk_ci": [],
-            "topk_pi": [],
-            "topk_utilization": [],
+            **{name: [] for name in _COLUMNS},
         }
 
-    def record_unserved(self) -> None:
+    def on_unserved(self) -> None:
         """Count one arrival that found an empty candidate set."""
         if self._run is not None:
             self._run["unserved"] += 1
 
-    def record(
+    def on_decision(
         self,
-        time: float,
-        consumer: int,
-        klass: int,
-        n_desired: int,
-        cache_hit: bool,
-        candidates: np.ndarray,
+        request,
         positions: np.ndarray,
-        provider_intentions: np.ndarray,
-        consumer_intentions: np.ndarray,
-        utilizations: np.ndarray,
-        consumer_satisfaction: float,
-        provider_satisfactions: np.ndarray,
         adequation: float,
         satisfaction: float,
+        cache_hit: bool,
     ) -> None:
-        """Append one decision (engine ``_dispatch``, post-selection).
+        """Append one decision: the request the method saw, its chosen
+        ``positions``, and the query's adequation and satisfaction.
 
         Everything kept is a *copy* gathered out of the per-query
         vectors — the engine reuses its scratch buffers next arrival —
@@ -192,13 +185,19 @@ class DecisionAudit:
         run = self._run
         if run is None:
             return
+        query = request.query
+        candidates = request.candidates
+        provider_intentions = request.provider_intentions
+        consumer_intentions = request.consumer_intentions
+        utilizations = request.utilizations
+        consumer_satisfaction = request.consumer_satisfaction
         if run["fixed_omega"] is not None:
             omegas = np.full(
                 provider_intentions.shape, run["fixed_omega"]
             )
         else:
             omegas = omega_vector(
-                consumer_satisfaction, provider_satisfactions
+                consumer_satisfaction, request.provider_satisfactions
             )
         scores = provider_score_vector(
             provider_intentions,
@@ -229,10 +228,10 @@ class DecisionAudit:
         top_pi[:k] = provider_intentions[order]
         top_util[:k] = utilizations[order]
 
-        run["time"].append(float(time))
-        run["consumer"].append(int(consumer))
-        run["klass"].append(int(klass))
-        run["n_desired"].append(int(n_desired))
+        run["time"].append(float(request.time))
+        run["consumer"].append(int(query.consumer))
+        run["klass"].append(int(query.klass))
+        run["n_desired"].append(int(query.n_desired))
         run["n_candidates"].append(int(candidates.size))
         run["cache_hit"].append(bool(cache_hit))
         run["chosen"].append(int(candidates[pos0]))
@@ -259,39 +258,18 @@ class DecisionAudit:
 
     @staticmethod
     def _arrays(run: dict) -> dict[str, np.ndarray]:
-        n = len(run["time"])
-
-        def stack(name: str) -> np.ndarray:
+        arrays = {}
+        for name, dtype in _COLUMNS.items():
             rows = run[name]
-            if not rows:
-                return np.empty((0, AUDIT_TOP_K))
-            return np.stack(rows)
-
-        return {
-            "time": np.asarray(run["time"], dtype=float),
-            "consumer": np.asarray(run["consumer"], dtype=np.int64),
-            "klass": np.asarray(run["klass"], dtype=np.int64),
-            "n_desired": np.asarray(run["n_desired"], dtype=np.int64),
-            "n_candidates": np.asarray(run["n_candidates"], dtype=np.int64),
-            "cache_hit": np.asarray(run["cache_hit"], dtype=np.uint8),
-            "chosen": np.asarray(run["chosen"], dtype=np.int64),
-            "n_selected": np.asarray(run["n_selected"], dtype=np.int64),
-            "imposed": np.asarray(run["imposed"], dtype=np.uint8),
-            "chosen_score": np.asarray(run["chosen_score"], dtype=float),
-            "chosen_rank": np.asarray(run["chosen_rank"], dtype=np.int64),
-            "score_gap": np.asarray(run["score_gap"], dtype=float),
-            "adequation": np.asarray(run["adequation"], dtype=float),
-            "satisfaction": np.asarray(run["satisfaction"], dtype=float),
-            "consumer_satisfaction": np.asarray(
-                run["consumer_satisfaction"], dtype=float
-            ),
-            "topk_providers": stack("topk_providers").astype(np.int64),
-            "topk_scores": stack("topk_scores").astype(float),
-            "topk_ci": stack("topk_ci").astype(float),
-            "topk_pi": stack("topk_pi").astype(float),
-            "topk_utilization": stack("topk_utilization").astype(float),
-            "capacity_rates": run["capacity_rates"],
-        } | {"n_decisions": np.asarray([n], dtype=np.int64)}
+            if not name.startswith("topk_"):
+                arrays[name] = np.asarray(rows, dtype=dtype)
+            elif rows:
+                arrays[name] = np.stack(rows).astype(dtype)
+            else:
+                arrays[name] = np.empty((0, AUDIT_TOP_K)).astype(dtype)
+        arrays["capacity_rates"] = run["capacity_rates"]
+        arrays["n_decisions"] = np.asarray([len(run["time"])], dtype=np.int64)
+        return arrays
 
     def commit(self, key: str, method: str, config) -> Path | None:
         """Flush the buffered run as ``audit-<method>-seed<seed>-<key16>``.

@@ -54,7 +54,8 @@ Subcommands::
         halves (``.npz`` payload, ``.json`` commit marker) must pair
         and — by default — parse end-to-end.  Exits non-zero when
         unclean; ``--prune`` removes orphan halves and unreadable
-        entries (none can ever be served as a hit).
+        entries (none can ever be served as a hit), keeping a payload
+        young enough to be a live ``put``'s first half.
 
     python -m repro trace record|replay
         Paired-comparison workflows: ``record`` runs one scenario cell
@@ -830,7 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--prune",
         action="store_true",
         help="delete orphan halves and unreadable entries (none can "
-        "ever be served as a hit)",
+        "ever be served as a hit); a payload under an hour old may be "
+        "a live put's first half and is kept",
     )
     store_verify.add_argument(
         "--json",

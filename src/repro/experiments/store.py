@@ -43,12 +43,14 @@ import hashlib
 import io
 import json
 import math
+import time
 import zipfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 
+from repro._io import DEFAULT_TEMP_AGE, crash_litter
 from repro.reliability.durability import atomic_write
 from repro.simulation.config import SimulationConfig
 from repro.simulation.departures import DepartureRecord
@@ -346,19 +348,29 @@ class ResultStore:
             unreadable=unreadable,
         )
 
-    def prune_invalid(self, report: StoreVerifyReport | None = None) -> int:
+    def prune_invalid(
+        self,
+        report: StoreVerifyReport | None = None,
+        now: float | None = None,
+        temp_age: float = DEFAULT_TEMP_AGE,
+    ) -> int:
         """Delete every entry ``verify`` condemned; returns files removed.
 
         Safe by construction: orphan halves and unreadable pairs can
         never be served as hits, so removing them only reclaims space
-        and silences fsck.
+        and silences fsck.  An orphan ``.npz`` is judged by the
+        crash-litter rule, though: one younger than ``temp_age`` seconds
+        against ``now`` (the local clock by default) is a live ``put``'s
+        first half, and stays.
         """
         if report is None:
             report = self.verify(deep=True)
+        now = time.time() if now is None else now
         removed = 0
-        for key in report.orphan_npz:
-            self._npz_path(key).unlink(missing_ok=True)
-            removed += 1
+        for path in crash_litter([self.root], now, temp_age):
+            if path.suffix == ".npz" and path.stem in report.orphan_npz:
+                path.unlink(missing_ok=True)
+                removed += 1
         for key in report.orphan_json:
             self._json_path(key).unlink(missing_ok=True)
             removed += 1

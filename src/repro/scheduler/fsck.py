@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from repro._io import crash_litter
+from repro._io import DEFAULT_TEMP_AGE, crash_litter
 from repro.experiments.store import ResultStore
 from repro.scheduler.queue import (
     _LEASE_SEPARATOR,
@@ -42,12 +42,6 @@ from repro.scheduler.queue import (
 )
 
 __all__ = ["FsckReport", "Violation", "fsck_queue"]
-
-#: Crash litter younger than this (seconds) may belong to a live
-#: writer and is never flagged — the same grace :meth:`WorkQueue.gc`
-#: applies, so an fsck pass over an actively draining (or actively
-#: chaos-injected) queue stays clean.
-DEFAULT_TEMP_AGE = 3600.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,7 +101,9 @@ def fsck_queue(
     invariants; with ``repair`` apply the protocol-defined self-repairs.
 
     ``now`` overrides the queue's clock (tests); ``temp_age`` gates how
-    old crash litter must be before it counts.
+    old crash litter must be before it counts — younger litter may
+    belong to a live writer, so a pass over an actively draining (or
+    chaos-injected) queue stays clean.
 
     Checks, in evaluation order (earlier repairs can obviate later
     findings — e.g. a lease discarded under done-wins is no longer an
@@ -145,8 +141,10 @@ def fsck_queue(
         directory to the sweep.  A store payload without its metadata
         is left to 12.
     12. **store orphans / unreadable entries** — via
-        :meth:`ResultStore.verify`, at any age; prune (none can serve
-        as a hit).  Each finding is reported once, under the same kind
+        :meth:`ResultStore.verify`; prune (none can serve as a hit).
+        An orphan payload counts once it is litter, ``temp_age`` old
+        (a younger one is a live ``put``'s first half); the rest count
+        at any age.  Each finding is reported once, under the same kind
         with and without ``repair``.
     """
     now = queue.now() if now is None else now
@@ -417,13 +415,15 @@ def fsck_queue(
         directories.append(store.root)
     if audit_root is not None:
         directories.append(Path(audit_root))
+    aged_payloads = set()
     for path in crash_litter(directories, now, temp_age):
         if (
             store is not None
             and path.parent == store.root
             and path.suffix == ".npz"
         ):
-            continue  # a store orphan: check 12 reports it, at any age
+            aged_payloads.add(path.stem)  # check 12 reports it
+            continue
         fixed = False
         if repair:
             path.unlink(missing_ok=True)
@@ -439,11 +439,15 @@ def fsck_queue(
     # -- 12: the store's halves must pair and parse -------------------
     store_entries = 0
     if store is not None:
-        store_report = store.verify(deep=True)
+        found = store.verify(deep=True)
+        aged_orphans = aged_payloads.intersection(found.orphan_npz)
+        store_report = dataclasses.replace(
+            found, orphan_npz=tuple(sorted(aged_orphans))
+        )
         store_entries = store_report.entries
         store_fixed = False
         if repair and not store_report.clean:
-            store.prune_invalid(store_report)
+            store.prune_invalid(store_report, now=now, temp_age=temp_age)
             store_fixed = True
         for key in store_report.orphan_npz:
             note(

@@ -56,7 +56,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro._io import crash_litter
+from repro._io import DEFAULT_TEMP_AGE, crash_litter
 from repro.experiments.store import cache_key
 from repro.reliability.durability import atomic_write
 from repro.reliability.failpoints import failpoint
@@ -1030,7 +1030,7 @@ class WorkQueue:
         self,
         prune: bool = False,
         now: float | None = None,
-        temp_age: float = 3600.0,
+        temp_age: float = DEFAULT_TEMP_AGE,
         extra_roots: tuple[Path | str, ...] = (),
         heartbeat_grace: float = 3600.0,
     ) -> GcReport:

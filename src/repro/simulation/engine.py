@@ -18,6 +18,7 @@ heap is needed, which keeps the pure-Python hot path tight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
@@ -65,9 +66,10 @@ __all__ = [
 #: (config, method, seed) — not for pure refactors.
 ENGINE_VERSION = "1"
 
-#: Hot-path phases the telemetry layer times, in execution order.
-#: ``arrival`` covers the consumer draw and query construction; the
-#: other four partition :meth:`MediatorSimulation._dispatch`.
+#: Hot-path phases, in execution order, as the engine reports them to
+#: ``on_phase``.  ``arrival`` covers the consumer draw and query
+#: construction (``create_traced`` on a replay); the other four
+#: partition :meth:`MediatorSimulation._dispatch`.
 ENGINE_PHASES = (
     "arrival",
     "candidate_lookup",
@@ -76,7 +78,11 @@ ENGINE_PHASES = (
     "log_push",
 )
 
-#: Feed the dispatch-latency quantile timer every Nth issued query.
+#: Query-class sentinel for an arrival that issued no query (its
+#: consumer had departed); recorded traces store it as such.
+SKIPPED = -1
+
+#: Feed the dispatch-latency quantile timer every Nth served query.
 #: The stride is a deterministic counter — never an RNG draw — so
 #: sampling cannot perturb the simulation's random streams.
 _DISPATCH_SAMPLE_STRIDE = 8
@@ -110,8 +116,13 @@ def _finite_mean(values: np.ndarray) -> float:
     return _mean_of_finite(_finite_values(values))
 
 
-def _finite_fairness(values: np.ndarray) -> float:
-    return _fairness_of_finite(_finite_values(values))
+def _read_only(value):
+    """``value``, as a view that refuses writes if it is an array (the
+    array itself keeps its flags)."""
+    if isinstance(value, np.ndarray):
+        value = value.view()
+        value.flags.writeable = False
+    return value
 
 
 @dataclass
@@ -201,10 +212,28 @@ class MediatorSimulation:
     matchmaker:
         Candidate-set source; defaults to the paper's universal
         matchmaker (every provider can treat every query).
-    recorder:
-        Optional trace recorder (see :mod:`repro.simulation.trace`);
-        when set, every issued query's (time, consumer, class) is
-        recorded.  Recording observes the run without altering it.
+    observers:
+        Objects watching the run, such as the trace recorder
+        (:mod:`repro.simulation.trace`).  An observer defines only the
+        hooks it needs, with no base class; the engine binds them once,
+        here, with the telemetry phase timer and the decision audit
+        appended when enabled.  In call order:
+
+        * ``on_run_start(sim)``;
+        * ``on_phase(name)`` at each phase boundary: the
+          :data:`ENGINE_PHASES` name that begins, ``None`` when the
+          arrival's timed stretch ends;
+        * ``on_arrival(time, consumer, klass)`` for every arrival,
+          ``klass`` :data:`SKIPPED` when nothing issued;
+        * ``on_unserved()`` when an issued query finds no candidate;
+        * ``on_decision(request, positions, adequation, satisfaction,
+          cache_hit)`` after a served query's log push, with the
+          request the method saw and its chosen positions;
+        * ``on_run_end(sim)`` once the result is built.
+
+        Arrays reach observers as read-only views and the request's
+        ``rng`` as ``None``, so an observer can change nothing in the
+        run.  With no observer a run reads no clock.
     """
 
     def __init__(
@@ -213,7 +242,7 @@ class MediatorSimulation:
         method: AllocationMethod | str,
         seed: int = 0,
         matchmaker: Matchmaker | None = None,
-        recorder=None,
+        observers=(),
     ) -> None:
         self.config = config
         if isinstance(method, str):
@@ -221,7 +250,6 @@ class MediatorSimulation:
         self.method = method
         self.seed = int(seed)
         self._matchmaker = matchmaker or UniversalMatchmaker()
-        self._recorder = recorder
 
         rngs = RngFactory(seed)
         self._rng_environment = rngs.get("environment")
@@ -327,40 +355,28 @@ class MediatorSimulation:
         self._ci_clip_scratch = np.empty(config.n_providers, dtype=float)
         self._pi_clip_scratch = np.empty(config.n_providers, dtype=float)
 
-        # --- telemetry --------------------------------------------------
-        # Phase accumulators are plain float sums, allocated only when a
-        # registry is active; every hot-path mark is gated on a single
-        # ``is not None`` check, so disabled runs skip the clock reads
-        # entirely.  The cache tallies below are unconditional plain-int
-        # arithmetic: cheap, and they never feed back into the run.
-        self._telemetry = get_telemetry()
-        self._phase_acc: dict[str, float] | None = (
-            dict.fromkeys(ENGINE_PHASES, 0.0)
-            if self._telemetry is not None
-            else None
-        )
-        self._run_span: int | None = None
-        self._run_started = 0.0
-        self._dispatch_stride = 0
+        # Plain-int cache tallies: cheap, and they never feed back into
+        # the run (telemetry and the audit's cache_hit read them).
         self._candidate_hits = 0
         self._candidate_misses = 0
 
-        # --- decision audit ---------------------------------------------
-        # Same discipline as telemetry: resolved once per engine, every
-        # hot-path hook behind a single ``is not None`` check, no RNG
-        # stream touched, no arithmetic reordered — the recorder reads
-        # copies of the per-query vectors only after the method has
-        # chosen, so audited runs stay bit-identical to unaudited ones.
-        self._audit = get_audit()
-        if self._audit is not None:
-            self._audit.begin_run(
-                method=self.method.name,
-                seed=self.seed,
-                capacity_rates=self.capacity.rates,
-                n_classes=len(config.query_classes.costs),
-                epsilon=config.epsilon,
-                fixed_omega=config.fixed_omega,
-            )
+        # --- observers --------------------------------------------------
+        # Each hook is bound once to the tuple of the observers' methods
+        # of that name, so a hook site with no observer is an empty loop.
+        # Telemetry and the audit are resolved once per engine.
+        observers = list(observers)
+        telemetry = get_telemetry()
+        if telemetry is not None:
+            observers.append(_PhaseTimer(telemetry))
+        audit = get_audit()
+        if audit is not None:
+            observers.append(audit)
+        (self._on_run_start, self._on_phase, self._on_arrival,
+         self._on_unserved, self._on_decision, self._on_run_end) = (
+            tuple(getattr(o, hook) for o in observers if hasattr(o, hook))
+            for hook in ("on_run_start", "on_phase", "on_arrival",
+                         "on_unserved", "on_decision", "on_run_end")
+        )
 
         # --- accounting -------------------------------------------------
         self._collector = TimeSeriesCollector()
@@ -384,14 +400,76 @@ class MediatorSimulation:
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Execute the full horizon and return the run's results."""
+        """Execute the full horizon and return the run's results.
+
+        One loop serves live and replayed runs: the arrival source
+        yields ``(time, consumer, klass)``, with ``consumer`` ``None`` on
+        a live run, whose consumer and class are drawn here once the
+        sample, departure and fault ladders have run.  The ladders run
+        at every arrival instant, issued or not.
+        """
         config = self.config
         self.method.reset()
-        if self._telemetry is not None:
-            self._run_span = self._telemetry.span_open("run", self.method.name)
-            self._run_started = perf_counter()
+        for hook in self._on_run_start:
+            hook(self)
         if config.workload.kind == "trace":
-            return self._run_replay()
+            arrivals = self._trace_arrivals()
+        else:
+            arrivals = self._poisson_arrivals()
+        next_sample = config.sample_interval
+        next_check = config.warmup_time + config.departure_check_interval
+        autonomy = self._autonomy_enabled()  # constant for the whole run
+        faults = bool(self._fault_events)  # likewise constant
+        active = self.consumers.active
+        on_phase = self._on_phase
+
+        for time, consumer, klass in arrivals:
+            while next_sample <= time:
+                if faults:
+                    self._apply_faults_until(next_sample)
+                self._sample(next_sample)
+                next_sample += config.sample_interval
+            while autonomy and next_check <= time:
+                self._check_departures(next_check)
+                next_check += config.departure_check_interval
+            if faults:
+                self._apply_faults_until(time)
+            for hook in on_phase:
+                hook("arrival")
+            # A departed consumer issues nothing; its share of the
+            # arrival process vanishes with it (Section 6.3.2: fewer
+            # incoming queries after consumer departures).  A recorded
+            # SKIPPED arrival issued nothing at recording time either.
+            query = None
+            if consumer is None:
+                consumer = int(self._rng_queries.integers(config.n_consumers))
+                if active[consumer]:
+                    query = self._factory.create(consumer, time)
+            elif klass != SKIPPED and active[consumer]:
+                query = self._factory.create_traced(consumer, time, klass)
+            for hook in self._on_arrival:
+                hook(time, consumer, SKIPPED if query is None else query.klass)
+            if query is None:
+                for hook in on_phase:
+                    hook(None)
+            else:
+                self._dispatch(query, time)
+
+        while next_sample <= config.duration:
+            if faults:
+                self._apply_faults_until(next_sample)
+            self._sample(next_sample)
+            next_sample += config.sample_interval
+
+        result = self._build_result()
+        for hook in self._on_run_end:
+            hook(self)
+        return result
+
+    def _poisson_arrivals(self):
+        """The live arrival source: ``(time, None, None)`` per Poisson
+        instant; the consumer and class are drawn later, in the loop."""
+        config = self.config
         # Hoist the capacity/cost constants out of the per-candidate rate
         # evaluation; the expression keeps arrival_rate_at's exact
         # left-to-right arithmetic so the thinning stream is unchanged.
@@ -415,45 +493,18 @@ class MediatorSimulation:
             # can be skipped (the thinning draw itself is kept).
             constant_rate=workload.kind == "fixed",
         )
-        next_sample = config.sample_interval
-        next_check = config.warmup_time + config.departure_check_interval
-        autonomy = self._autonomy_enabled()  # constant for the whole run
-        faults = bool(self._fault_events)  # likewise constant
+        return zip(arrivals, repeat(None), repeat(None))
 
-        for time in arrivals:
-            while next_sample <= time:
-                if faults:
-                    self._apply_faults_until(next_sample)
-                self._sample(next_sample)
-                next_sample += config.sample_interval
-            while autonomy and next_check <= time:
-                self._check_departures(next_check)
-                next_check += config.departure_check_interval
-            if faults:
-                self._apply_faults_until(time)
-            self._process_arrival(time)
-
-        while next_sample <= config.duration:
-            if faults:
-                self._apply_faults_until(next_sample)
-            self._sample(next_sample)
-            next_sample += config.sample_interval
-
-        return self._build_result()
-
-    def _run_replay(self) -> SimulationResult:
-        """Drive the run from a recorded trace instead of arrival RNG.
+    def _trace_arrivals(self):
+        """The replay arrival source: the recorded stream, verbatim.
 
         The workload and query streams are bypassed *wholesale*: every
         arrival time, issuing consumer, and query class comes from the
         trace file, so two replays of one trace under different methods
         see literally the same query sequence (paired comparison with
-        zero arrival-process variance).  Arrivals recorded with the
-        skipped sentinel (class ``-1`` — the drawn consumer had departed
-        at recording time) issue nothing here either, but still advance
-        the sample/departure ladders exactly as they did while
-        recording — that is what makes a recording-method replay
-        byte-identical.
+        zero arrival-process variance).  Recorded :data:`SKIPPED`
+        arrivals still run the ladders at their instants, which is what
+        makes a recording-method replay byte-identical.
         """
         # Local import: trace.py imports this module for recording.
         from repro.simulation.trace import load_trace
@@ -464,46 +515,11 @@ class MediatorSimulation:
             expected_digest=config.workload.trace_digest,
         )
         self._check_trace_compatible(trace)
-
-        next_sample = config.sample_interval
-        next_check = config.warmup_time + config.departure_check_interval
-        autonomy = self._autonomy_enabled()
-        faults = bool(self._fault_events)
-        active = self.consumers.active
-        create_traced = self._factory.create_traced
-
-        for time, consumer, klass in zip(
+        return zip(
             trace.times.tolist(),
             trace.consumers.tolist(),
             trace.klasses.tolist(),
-        ):
-            while next_sample <= time:
-                if faults:
-                    self._apply_faults_until(next_sample)
-                self._sample(next_sample)
-                next_sample += config.sample_interval
-            while autonomy and next_check <= time:
-                self._check_departures(next_check)
-                next_check += config.departure_check_interval
-            if faults:
-                self._apply_faults_until(time)
-            if klass < 0 or not active[consumer]:
-                # klass < 0: the arrival issued nothing at recording
-                # time (departed consumer) and issues nothing here.
-                # Inactive consumer: live at recording time but departed
-                # in *this* run's dynamics — its queries vanish exactly
-                # as they would on the live path.
-                continue
-            query = create_traced(consumer, time, klass)
-            self._dispatch(query, time)
-
-        while next_sample <= config.duration:
-            if faults:
-                self._apply_faults_until(next_sample)
-            self._sample(next_sample)
-            next_sample += config.sample_interval
-
-        return self._build_result()
+        )
 
     def _check_trace_compatible(self, trace) -> None:
         config = self.config
@@ -656,60 +672,25 @@ class MediatorSimulation:
         """The candidate set for ``query`` (see :meth:`_candidate_entry`)."""
         return self._candidate_entry(query)[0]
 
-    def _process_arrival(self, time: float) -> None:
-        config = self.config
-        acc = self._phase_acc
-        if acc is not None:
-            mark = perf_counter()
-        consumer = int(self._rng_queries.integers(config.n_consumers))
-        if not self.consumers.active[consumer]:
-            # A departed consumer issues nothing; its share of the
-            # arrival process vanishes with it (Section 6.3.2: fewer
-            # incoming queries after consumer departures).  The arrival
-            # itself is still recorded: replay must trigger the ladders
-            # at every arrival instant, issued or not.
-            if self._recorder is not None:
-                self._recorder.record(time, consumer, -1)
-            if acc is not None:
-                acc["arrival"] += perf_counter() - mark
-            return
-        query = self._factory.create(consumer, time)
-        if acc is not None:
-            acc["arrival"] += perf_counter() - mark
-        self._dispatch(query, time)
-
     def _dispatch(self, query, time: float) -> None:
-        """Mediate one issued query (Algorithm 1 body).
-
-        Shared between the live path (:meth:`_process_arrival`, which
-        draws the consumer and class) and trace replay (which reads them
-        from the file).
-        """
+        """Mediate one issued query (Algorithm 1 body)."""
         config = self.config
         consumer = query.consumer
+        on_phase = self._on_phase
         self._queries_issued += 1
-        if self._recorder is not None:
-            self._recorder.record(time, consumer, query.klass)
-
-        # Phase marks are gated on a single None check each; ``mark``
-        # carries the running perf_counter between phase boundaries.
-        acc = self._phase_acc
-        if acc is not None:
-            started = mark = perf_counter()
-
-        audit = self._audit
-        if audit is not None:
-            hits_before = self._candidate_hits
+        for hook in on_phase:
+            hook("candidate_lookup")
+        hits = self._candidate_hits
         candidates, capacities = self._candidate_entry(query)
-        if acc is not None:
-            now = perf_counter()
-            acc["candidate_lookup"] += now - mark
-            mark = now
         if candidates.size == 0:
             self._queries_unserved += 1
-            if audit is not None:
-                audit.record_unserved()
+            for hook in on_phase:
+                hook(None)
+            for hook in self._on_unserved:
+                hook()
             return
+        for hook in on_phase:
+            hook("scoring")
 
         self.utilization.advance(time)
         utilizations = self.utilization.utilization_of(candidates)
@@ -765,18 +746,14 @@ class MediatorSimulation:
             provider_satisfactions=provider_satisfactions,
             rng=self._rng_method,
         )
-        if acc is not None:
-            now = perf_counter()
-            acc["scoring"] += now - mark
-            mark = now
+        for hook in on_phase:
+            hook("ranking")
 
         positions = np.asarray(self.method.select(request), dtype=np.int64)
         self._validate_selection(positions, request)
         selected = candidates[positions]
-        if acc is not None:
-            now = perf_counter()
-            acc["ranking"] += now - mark
-            mark = now
+        for hook in on_phase:
+            hook("log_push")
 
         completions = self.queues.assign(selected, query.cost_units, time)
         response = self.queues.response_time(completions, time)
@@ -810,32 +787,20 @@ class MediatorSimulation:
             performed=performed,
         )
         self._queries_served += 1
-        if acc is not None:
-            now = perf_counter()
-            acc["log_push"] += now - mark
-            self._dispatch_stride += 1
-            if self._dispatch_stride % _DISPATCH_SAMPLE_STRIDE == 0:
-                self._telemetry.observe("engine.dispatch_s", now - started)
-        if audit is not None:
-            # After the phase marks so audit cost never skews the phase
-            # breakdown; everything passed is read-only to the recorder
-            # and ``consumer_satisfaction`` is the pre-update value.
-            audit.record(
-                time=time,
-                consumer=consumer,
-                klass=query.klass,
-                n_desired=query.n_desired,
-                cache_hit=self._candidate_hits > hits_before,
-                candidates=candidates,
-                positions=positions,
-                provider_intentions=provider_intentions,
-                consumer_intentions=consumer_intentions,
-                utilizations=utilizations,
-                consumer_satisfaction=consumer_satisfaction,
-                provider_satisfactions=provider_satisfactions,
-                adequation=adequation,
-                satisfaction=satisfaction,
-            )
+        for hook in on_phase:
+            hook(None)
+        if self._on_decision:
+            # After the timed stretch, so observing never skews the
+            # phases.  Observers see read-only views, and not the
+            # method-private generator: they can change nothing.
+            seen = AllocationRequest.__new__(AllocationRequest)
+            for name, value in request.__dict__.items():
+                seen.__dict__[name] = _read_only(value)
+            seen.__dict__["rng"] = None
+            chosen = _read_only(positions)
+            cache_hit = self._candidate_hits > hits
+            for hook in self._on_decision:
+                hook(seen, chosen, adequation, satisfaction, cache_hit)
 
     def _consumer_intentions(
         self, consumer: int, candidates: np.ndarray
@@ -1026,8 +991,6 @@ class MediatorSimulation:
             "adaptation_classes": self.provider_prefs.adaptation_classes.copy(),
             "completed_counts": self.queues.completed_counts(),
         }
-        if self._telemetry is not None:
-            self._emit_telemetry()
         return SimulationResult(
             method_name=self.method.name,
             seed=self.seed,
@@ -1044,50 +1007,80 @@ class MediatorSimulation:
             initial_consumers=self.consumers.size,
         )
 
-    def _emit_telemetry(self) -> None:
-        """Flush this run's tallies into the active registry.
 
-        Phase events are emitted while the run span is still open, so
-        they parent under it; the span closes last with the run's wall
-        time.  All of this happens once, after the horizon — nothing
-        here is on the hot path.
-        """
+class _PhaseTimer:
+    """The telemetry observer: per-phase engine time and the run span.
+
+    The only clock reader in a run.  Each ``on_phase`` closes the
+    running phase and opens the next; every
+    ``_DISPATCH_SAMPLE_STRIDE``-th served query also feeds
+    ``engine.dispatch_s`` (candidate lookup through log push).  Nothing
+    is emitted until the run ends: the phase events first, while the run
+    span is still open so they parent under it, then the engine
+    counters, then the span itself.
+    """
+
+    def __init__(self, telemetry) -> None:
+        self._telemetry = telemetry
+        self._seconds = dict.fromkeys(ENGINE_PHASES, 0.0)
+        self._phase: str | None = None
+        self._mark = 0.0
+        self._dispatch_started = 0.0
+        self._served = 0
+        self._span = 0
+        self._started = 0.0
+
+    def on_run_start(self, sim) -> None:
+        self._span = self._telemetry.span_open("run", sim.method.name)
+        self._started = perf_counter()
+
+    def on_phase(self, name: str | None) -> None:
+        now = perf_counter()
+        phase = self._phase
+        if phase is not None:
+            self._seconds[phase] += now - self._mark
+        if name == "candidate_lookup":
+            self._dispatch_started = now
+        elif phase == "log_push":
+            self._served += 1
+            if self._served % _DISPATCH_SAMPLE_STRIDE == 0:
+                self._telemetry.observe(
+                    "engine.dispatch_s", now - self._dispatch_started
+                )
+        self._phase = name
+        self._mark = now
+
+    def on_run_end(self, sim) -> None:
         telemetry = self._telemetry
-        for name, seconds in (self._phase_acc or {}).items():
+        for name, seconds in self._seconds.items():
             telemetry.event("phase", name, duration_s=seconds)
-        telemetry.count(
-            "engine.candidate_cache_hits", self._candidate_hits
-        )
-        telemetry.count(
-            "engine.candidate_cache_misses", self._candidate_misses
-        )
-        pushes = self.consumers.push_stats()
-        for kind, count in self.providers.push_stats().items():
+        telemetry.count("engine.candidate_cache_hits", sim._candidate_hits)
+        telemetry.count("engine.candidate_cache_misses", sim._candidate_misses)
+        pushes = sim.consumers.push_stats()
+        for kind, count in sim.providers.push_stats().items():
             pushes[kind] += count
         telemetry.count("engine.ring_uniform_pushes", pushes["uniform"])
         telemetry.count("engine.ring_scattered_pushes", pushes["scattered"])
         telemetry.count("engine.ring_scalar_pushes", pushes["scalar"])
         telemetry.count(
             "engine.view_rebuilds",
-            self.consumers.view_rebuilds + self.providers.view_rebuilds,
+            sim.consumers.view_rebuilds + sim.providers.view_rebuilds,
         )
-        telemetry.count("engine.queries_issued", self._queries_issued)
-        telemetry.count("engine.queries_served", self._queries_served)
-        telemetry.count("engine.queries_unserved", self._queries_unserved)
-        if self._run_span is not None:
-            telemetry.span_close(
-                self._run_span,
-                "run",
-                self.method.name,
-                perf_counter() - self._run_started,
-                attrs={
-                    "method": self.method.name,
-                    "seed": self.seed,
-                    "queries_issued": self._queries_issued,
-                    "queries_served": self._queries_served,
-                },
-            )
-            self._run_span = None
+        telemetry.count("engine.queries_issued", sim._queries_issued)
+        telemetry.count("engine.queries_served", sim._queries_served)
+        telemetry.count("engine.queries_unserved", sim._queries_unserved)
+        telemetry.span_close(
+            self._span,
+            "run",
+            sim.method.name,
+            perf_counter() - self._started,
+            attrs={
+                "method": sim.method.name,
+                "seed": sim.seed,
+                "queries_issued": sim._queries_issued,
+                "queries_served": sim._queries_served,
+            },
+        )
 
 
 def run_simulation(
@@ -1095,9 +1088,9 @@ def run_simulation(
     method: AllocationMethod | str,
     seed: int = 0,
     matchmaker: Matchmaker | None = None,
-    recorder=None,
+    observers=(),
 ) -> SimulationResult:
     """Convenience wrapper: build and run one simulation."""
     return MediatorSimulation(
-        config, method, seed=seed, matchmaker=matchmaker, recorder=recorder
+        config, method, seed=seed, matchmaker=matchmaker, observers=observers
     ).run()

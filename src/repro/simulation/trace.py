@@ -4,15 +4,16 @@ Recording serialises the *arrival stream* of one run — every arrival
 time, the drawn consumer, and the drawn query class, in order —
 together with enough environment identity (populations, horizon, query
 costs, the recorded workload spec) to refuse replay against an
-incompatible config.  Replaying feeds that exact stream to the engine
-in place of the Poisson arrival process and the per-query
-consumer/class draws.
+incompatible config.  The recorder is a plain engine observer: its
+``on_arrival`` hook sees every arrival.  Replaying makes that exact
+stream the arrival source of the engine's one loop, in place of the
+Poisson arrival process and the per-query consumer/class draws.
 
 Arrivals whose drawn consumer had already departed issue no query; they
-are still recorded (with query class ``-1``) because the engine's
-sample and departure-check ladders advance at *every* arrival, issued
-or not, and byte-identical replay must trigger those ladders at the
-same instants the recording run did.
+are still recorded (with query class :data:`SKIPPED`, ``-1``) because
+the engine's sample and departure-check ladders advance at *every*
+arrival, issued or not, and byte-identical replay must trigger those
+ladders at the same instants the recording run did.
 
 Why this matters: two independent runs of different allocation methods
 differ both because the methods differ *and* because their arrival
@@ -50,6 +51,7 @@ from repro.reliability.durability import atomic_write
 from repro.simulation.config import SimulationConfig, WorkloadSpec
 from repro.simulation.engine import (
     ENGINE_VERSION,
+    SKIPPED,
     MediatorSimulation,
     SimulationResult,
 )
@@ -74,13 +76,8 @@ TRACE_FORMAT = "repro-trace-1"
 _RECORDABLE_KINDS = ("fixed", "ramp", "burst", "piecewise")
 
 
-#: Query-class sentinel for a recorded arrival that issued no query
-#: (its drawn consumer had departed).
-SKIPPED = -1
-
-
 class TraceRecorder:
-    """Accumulates the arrival stream of one run."""
+    """Accumulates the arrival stream of one run (an engine observer)."""
 
     __slots__ = ("times", "consumers", "klasses")
 
@@ -89,7 +86,7 @@ class TraceRecorder:
         self.consumers: list[int] = []
         self.klasses: list[int] = []
 
-    def record(self, time: float, consumer: int, klass: int) -> None:
+    def on_arrival(self, time: float, consumer: int, klass: int) -> None:
         """One arrival; ``klass`` is :data:`SKIPPED` when nothing issued."""
         self.times.append(time)
         self.consumers.append(consumer)
@@ -179,7 +176,7 @@ def record_trace(
     path.parent.mkdir(parents=True, exist_ok=True)
     recorder = TraceRecorder()
     result = MediatorSimulation(
-        config, method, seed=seed, recorder=recorder
+        config, method, seed=seed, observers=(recorder,)
     ).run()
     workload_payload = {
         name: value

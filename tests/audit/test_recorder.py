@@ -154,5 +154,5 @@ class TestPlumbing:
 
     def test_record_before_begin_is_a_noop(self, tmp_path):
         audit = DecisionAudit(tmp_path)
-        audit.record_unserved()  # must not raise
+        audit.on_unserved()  # must not raise
         assert not audit.pending

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import time
 import zipfile
 
 import numpy as np
@@ -296,12 +298,33 @@ class TestVerify:
         store = ResultStore(tmp_path)
         key = store.put(captive_result)
         (tmp_path / f"{key}.json").unlink()
+        # Aged past the litter rule's gate: a crashed put, not a live one.
+        old = time.time() - 10_000.0
+        os.utime(tmp_path / f"{key}.npz", (old, old))
         removed = store.prune_invalid()
         assert removed == 1
         assert store.verify().clean
         # A fresh put fully repairs the entry.
         store.put(captive_result)
         assert store.contains(captive_result.config, "sqlb", 3)
+
+    def test_prune_invalid_keeps_a_live_puts_payload(
+        self, tmp_path, captive_result
+    ):
+        """Between a put's two writes the payload is a fresh orphan;
+        pruning it would lose the entry once the commit marker lands."""
+        store = ResultStore(tmp_path)
+        key = store.put(captive_result)
+        marker = tmp_path / f"{key}.json"
+        committed = marker.read_bytes()
+        marker.unlink()
+        report = store.verify()
+        assert report.orphan_npz == (key,)
+        assert store.prune_invalid(report) == 0
+        assert (tmp_path / f"{key}.npz").exists()
+        marker.write_bytes(committed)  # the put's second write lands
+        assert store.verify().clean
+        assert store.get(captive_result.config, "sqlb", 3) is not None
 
     def test_temp_litter_is_ignored(self, tmp_path, captive_result):
         store = ResultStore(tmp_path)

@@ -205,12 +205,34 @@ class TestStoreChecks:
         queue = make_queue(tmp_path)
         store = ResultStore(tmp_path / "store")
         store.root.mkdir()
-        (store.root / ("a" * 8 + ".npz")).write_bytes(b"xx")
+        payload = store.root / ("a" * 8 + ".npz")
+        payload.write_bytes(b"xx")
+        # Aged past the litter rule's gate: a crashed put, not a live one.
+        old = time.time() - 10_000.0
+        os.utime(payload, (old, old))
         (store.root / ("b" * 8 + ".json")).write_text("{}")
         report = fsck_queue(queue, store=store)
         assert kinds(report) == ["store-orphan-json", "store-orphan-npz"]
         fsck_queue(queue, store=store, repair=True)
         assert fsck_queue(queue, store=store).clean
+
+    def test_fresh_orphan_payload_is_a_live_put(self, tmp_path):
+        # The state between a put's two writes: fsck must neither
+        # report nor delete the payload, or the entry is lost once
+        # the commit marker lands.
+        queue = make_queue(tmp_path)
+        store = ResultStore(tmp_path / "store")
+        config = tiny_config(duration=40.0)
+        key = store.put(run_simulation(config, "sqlb", seed=3))
+        marker = store.root / f"{key}.json"
+        committed = marker.read_bytes()
+        marker.unlink()
+        report = fsck_queue(queue, store=store, repair=True)
+        assert report.clean
+        assert (store.root / f"{key}.npz").exists()
+        marker.write_bytes(committed)  # the put's second write lands
+        assert store.get(config, "sqlb", 3) is not None
+        assert store.verify().clean
 
     def test_unreadable_store_entry_is_flagged(self, tmp_path):
         queue = make_queue(tmp_path)

@@ -867,6 +867,12 @@ class TestReliabilityCommands:
 
         npz = next(Path(store_dir).glob("*.npz"))
         npz.with_suffix(".json").unlink()
+        # Aged past the litter rule's gate: a crashed put, not a live one.
+        import os
+        import time
+
+        old = time.time() - 10_000.0
+        os.utime(npz, (old, old))
         with pytest.raises(SystemExit) as excinfo:
             main(["store", "verify", "--cache-dir", store_dir])
         assert excinfo.value.code == 1
