@@ -106,6 +106,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+from repro._io import DEFAULT_TEMP_AGE, crash_litter
 from repro.allocation.registry import PAPER_METHODS, available_methods
 from repro.analysis import (
     DEFAULT_COMPARE_METRICS,
@@ -1978,16 +1979,32 @@ def _cmd_store(args: argparse.Namespace) -> str:
         )
     cache_dir = _require_cache_dir(args, "store verify")
     store = ResultStore(cache_dir)
-    report = store.verify(deep=not args.shallow)
+    found = store.verify(deep=not args.shallow)
+    # An orphan payload is judged by the crash-litter rule, as
+    # prune_invalid and queue fsck judge it: one younger than the gate
+    # is a live put between its two writes, listed but left alone, and
+    # no reason to call the store unclean.
+    now = time.time()
+    aged = {
+        path.stem
+        for path in crash_litter([store.root], now, DEFAULT_TEMP_AGE)
+        if path.suffix == ".npz"
+    }
+    in_flight = tuple(key for key in found.orphan_npz if key not in aged)
+    report = dataclasses.replace(
+        found,
+        orphan_npz=tuple(key for key in found.orphan_npz if key in aged),
+    )
     pruned = 0
     if args.prune and not report.clean:
-        pruned = store.prune_invalid(report)
+        pruned = store.prune_invalid(report, now=now)
     if args.json:
         output = json.dumps(
             {
                 "clean": report.clean,
                 "entries": report.entries,
                 "orphan_npz": list(report.orphan_npz),
+                "orphan_npz_in_flight": list(in_flight),
                 "orphan_json": list(report.orphan_json),
                 "unreadable": list(report.unreadable),
                 "pruned_files": pruned,
@@ -2002,6 +2019,11 @@ def _cmd_store(args: argparse.Namespace) -> str:
             + ("" if args.shallow else " (deep-read)")
         ]
         for label, keys in (
+            (
+                f"orphan npz younger than {DEFAULT_TEMP_AGE:.0f} s "
+                "(a put in flight, left alone)",
+                in_flight,
+            ),
             ("orphan npz (interrupted put)", report.orphan_npz),
             ("orphan json (write order violated)", report.orphan_json),
             ("unreadable entries", report.unreadable),

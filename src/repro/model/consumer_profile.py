@@ -81,7 +81,12 @@ def query_satisfaction(
         raise ValueError(
             f"{values.size} providers selected but only {n_desired} desired"
         )
-    total = float(values.sum()) if values.size else 0.0
+    if values.size == 1:
+        # One selected provider (always, at q.n = 1): the sum of one
+        # element is that element.
+        total = values.item(0)
+    else:
+        total = float(values.sum()) if values.size else 0.0
     return (total / n_desired + 1.0) / 2.0
 
 

@@ -14,9 +14,15 @@ This module provides the storage for those sliding windows:
 * :class:`RowRingLog` — a vectorised bank of per-entity ring buffers with
   several value channels and per-channel running sums, used on the
   simulator hot path where one query touches hundreds of providers at
-  once.  The channels share one stacked storage block so a push updates
-  every channel's running sums with single (channels × rows) array
-  operations instead of one set of operations per channel.
+  once.  The channels share one stacked storage block, and a push hands
+  over one (rows × channels) block in channel order
+  (:meth:`RowRingLog.push_block`; :meth:`RowRingLog.push` stacks a
+  per-channel mapping into it), so the whole-window sums move with
+  single array operations.  The performed-only sums move just for the
+  rows that evict or admit a performed entry, given as positions and
+  updated one by one as Python floats; window fill is tracked by a
+  shared count and a latch, so no push reduces over every row once the
+  windows are full.
 
 Running sums accumulate floating-point drift, so both classes refresh
 their sums from the raw buffer after a fixed number of pushes; tests
@@ -207,6 +213,7 @@ class RowRingLog:
             name: index for index, name in enumerate(self._channels)
         }
         n_channels = len(self._channels)
+        self._channel_range = range(n_channels)
         # Slot-major, channel-last storage: ``_data[slot]`` is the
         # contiguous (rows x channels) plane every row writes its
         # ``slot``-th interaction into.  Rows that are always pushed
@@ -232,10 +239,14 @@ class RowRingLog:
         self._known_full_rows: np.ndarray | None = None
         # Lockstep bookkeeping.  _uniform_slot is the ring slot every
         # row currently sits at while the whole bank advances together
-        # (None once any partial push breaks global lockstep); _all_full
+        # (None once any partial push breaks global lockstep); _pos is
+        # only written out when something else needs it.  _fill is
+        # the count every row shares while they fill together (None
+        # once a push misses some rows before they are full); _all_full
         # latches once every window has filled — counts never decrease,
-        # so from then on pushes skip the count update.
+        # so from then on no push path updates them.
         self._uniform_slot: int | None = 0
+        self._fill: int | None = 0
         self._all_full = False
         # Push-path tallies (telemetry reads these; plain ints, always
         # maintained — they never feed back into the simulation).
@@ -290,6 +301,10 @@ class RowRingLog:
     ) -> np.ndarray:
         """Record one interaction for each row in ``row_indices``.
 
+        The mapping form: the channels are checked, stacked into one
+        block and recorded by :meth:`push_block`, the form the
+        simulator's hot path calls directly.
+
         Parameters
         ----------
         row_indices:
@@ -312,9 +327,10 @@ class RowRingLog:
         numpy.ndarray
             The subset of ``row_indices`` whose *performed* running sums
             changed — rows that performed this interaction or evicted a
-            performed one.  (Every pushed row's whole-window sums change,
-            so there is no point reporting those.)  Callers maintaining
-            performed-mean caches only need to refresh these rows.
+            performed one — as int64, in ``row_indices`` order.  (Every
+            pushed row's whole-window sums change, so there is no point
+            reporting those.)  Callers maintaining performed-mean caches
+            only need to refresh these rows.
         """
         rows = np.asarray(row_indices, dtype=np.int64)
         if rows.size == 0:
@@ -325,28 +341,74 @@ class RowRingLog:
         if values.keys() != self._channel_set:
             missing = set(self._channels) ^ set(values)
             raise ValueError(f"channel mismatch: {sorted(missing)}")
+        block = np.empty(rows.shape + (len(self._channels),), dtype=float)
+        for name, index in self._channel_index.items():
+            new = np.asarray(values[name], dtype=float)
+            if new.shape != rows.shape:
+                raise ValueError(f"channel {name!r} must align with row_indices")
+            block[..., index] = new
+        return self.push_block(rows, block, performed.nonzero()[0])
 
-        if rows.size == 1:
-            dirty = self._push_one(int(rows[0]), values, bool(performed[0]))
+    def push_block(
+        self,
+        row_indices: np.ndarray,
+        block: np.ndarray,
+        performed_at: np.ndarray,
+    ) -> np.ndarray:
+        """Record one interaction per row, every channel in one block.
+
+        Parameters
+        ----------
+        row_indices:
+            Integer array of **distinct** rows, as for :meth:`push`.
+        block:
+            Float array of shape ``(len(row_indices), channels)``: each
+            row's values in channel order.  It is copied into the
+            ring, so a caller may reuse one buffer for every push.
+        performed_at:
+            Integer array of the **distinct** positions in
+            ``row_indices`` (any order) of the rows that performed the
+            interaction — for providers, the candidates the query was
+            allocated to.
+
+        Returns
+        -------
+        numpy.ndarray
+            As for :meth:`push`.
+        """
+        rows = np.asarray(row_indices, dtype=np.int64)
+        n = rows.size
+        if n == 0:
+            return self._empty_rows
+        new = np.asarray(block, dtype=float)
+        if new.shape != (n, len(self._channels)):
+            raise ValueError(
+                f"block must have shape ({n}, {len(self._channels)}), "
+                f"got {new.shape}"
+            )
+        positions = np.asarray(performed_at)
+        if positions.dtype.kind not in "iu":
+            raise TypeError(
+                f"performed_at must hold integer positions, got {positions.dtype}"
+            )
+        admitted = positions.tolist()
+        if n == 1:
+            dirty = self._apply_scalar_push(
+                rows.item(0), new[0].tolist(), bool(admitted)
+            )
             dirty_rows = rows if dirty else self._empty_rows
+        elif self._uniform_slot is not None and self._is_all_rows(rows):
+            # Global lockstep: the slot is known without touching _pos.
+            dirty_rows = self._push_uniform_slot(
+                rows, self._uniform_slot, new, admitted, all_rows=True
+            )
         else:
-            dirty_rows = self._push_many(rows, values, performed)
+            dirty_rows = self._push_many(rows, new, admitted)
 
         self._pushes += 1
         if self._pushes % _RESYNC_INTERVAL == 0:
             self._resync()
         return dirty_rows
-
-    def _stack_values(
-        self, values: dict[str, np.ndarray], shape: tuple[int, ...]
-    ) -> np.ndarray:
-        stacked = np.empty(shape + (len(self._channels),), dtype=float)
-        for name, index in self._channel_index.items():
-            new = np.asarray(values[name], dtype=float)
-            if new.shape != shape:
-                raise ValueError(f"channel {name!r} must align with row_indices")
-            stacked[..., index] = new
-        return stacked
 
     def _is_all_rows(self, rows: np.ndarray) -> bool:
         if rows.size != self._rows:
@@ -359,33 +421,27 @@ class RowRingLog:
         return False
 
     def _push_many(
-        self,
-        rows: np.ndarray,
-        values: dict[str, np.ndarray],
-        performed: np.ndarray,
+        self, rows: np.ndarray, new: np.ndarray, admitted: list[int]
     ) -> np.ndarray:
-        new = self._stack_values(values, rows.shape)
+        # A subset, or every row out of global lockstep: the pushed
+        # rows may still share one slot.
+        self._sync_positions()
         all_rows = self._is_all_rows(rows)
-        if all_rows and self._uniform_slot is not None:
-            # Global lockstep: the slot is known without touching _pos.
-            return self._push_uniform_slot(
-                rows, self._uniform_slot, new, performed, all_rows=True
-            )
         pos = self._pos if all_rows else self._pos[rows]
         slot = pos[0]
         if (pos == slot).all():
             return self._push_uniform_slot(
-                rows, int(slot), new, performed, all_rows=all_rows
+                rows, int(slot), new, admitted, all_rows=all_rows
             )
         self._uniform_slot = None
-        return self._push_scattered(rows, pos, new, performed)
+        return self._push_scattered(rows, pos, new, admitted)
 
     def _push_uniform_slot(
         self,
         rows: np.ndarray,
         slot: int,
         new: np.ndarray,
-        performed: np.ndarray,
+        admitted: list[int],
         all_rows: bool,
     ) -> np.ndarray:
         # All pushed rows share one ring slot (they have been pushed in
@@ -402,37 +458,30 @@ class RowRingLog:
         # whichever path a push takes.
         self.uniform_pushes += 1
         plane = self._data[slot]
-        performed_plane = self._performed[slot]
-        capacity = self._capacity
-        next_slot = (slot + 1) % capacity
+        flags = self._performed[slot]
+        next_slot = (slot + 1) % self._capacity
         if all_rows:
-            # ``plane`` is a live view: consumed before the overwrite.
+            # Positions are rows.  ``plane`` is a live view: consumed
+            # before the overwrite.
+            evicted = flags.nonzero()[0].tolist()
             dirty = self._push_performed(
-                rows, plane, performed_plane, new, performed
+                rows, slot, plane, evicted, new, admitted
             )
             self._sum_all -= plane
             plane[...] = new
             self._sum_all += new
-            performed_plane[...] = performed
             if not self._all_full:
-                np.minimum(self._count + 1, capacity, out=self._count)
-                if bool((self._count == capacity).all()):
-                    self._all_full = True
-            self._pos[...] = next_slot
+                self._count_pushed(rows, all_rows=True)
             self._uniform_slot = next_slot
             return dirty
         old = plane[rows]
-        dirty = self._push_performed(
-            rows, old, performed_plane[rows], new, performed
-        )
+        evicted = flags[rows].nonzero()[0].tolist()
+        dirty = self._push_performed(rows, slot, old, evicted, new, admitted)
         self._sum_all[rows] -= old
         plane[rows] = new
         self._sum_all[rows] += new
-        performed_plane[rows] = performed
         if not self._all_full:
-            self._count[rows] = np.minimum(self._count[rows] + 1, capacity)
-            if bool((self._count == capacity).all()):
-                self._all_full = True
+            self._count_pushed(rows, all_rows=False)
         self._pos[rows] = next_slot
         self._uniform_slot = None
         return dirty
@@ -442,7 +491,7 @@ class RowRingLog:
         rows: np.ndarray,
         pos: np.ndarray,
         new: np.ndarray,
-        performed: np.ndarray,
+        admitted: list[int],
     ) -> np.ndarray:
         # General path: rows sit at different ring positions.  Rows are
         # distinct (see the push docstring), so plain fancy indexing
@@ -451,42 +500,71 @@ class RowRingLog:
         # on the uniform path.
         self.scattered_pushes += 1
         old = self._data[pos, rows]
-        dirty = self._push_performed(
-            rows, old, self._performed[pos, rows], new, performed
-        )
+        evicted = self._performed[pos, rows].nonzero()[0].tolist()
+        dirty = self._push_performed(rows, pos, old, evicted, new, admitted)
         # Evict the outgoing entry, then add the incoming one; the
         # channel axis rides along contiguously.
         self._sum_all[rows] -= old
         self._data[pos, rows] = new
         self._sum_all[rows] += new
-        self._performed[pos, rows] = performed
         if not self._all_full:
-            self._count[rows] = np.minimum(
-                self._count[rows] + 1, self._capacity
-            )
+            self._count_pushed(rows, all_rows=False)
         self._pos[rows] = (pos + 1) % self._capacity
         return dirty
+
+    def _sync_positions(self) -> None:
+        # In global lockstep every row sits at _uniform_slot and the
+        # all-rows path leaves _pos alone; write it out before anything
+        # reads _pos or pushes some rows without the others.
+        if self._uniform_slot is not None:
+            self._pos.fill(self._uniform_slot)
+
+    def _count_pushed(self, rows: np.ndarray, all_rows: bool) -> None:
+        # One more remembered interaction per pushed row, up to the
+        # capacity, then latch _all_full once every window is full.
+        # While every row shares one fill (_fill), an all-rows push
+        # knows the new counts and whether they are full without a
+        # full-width reduction; a push that misses some rows ends that.
+        capacity = self._capacity
+        if all_rows and self._fill is not None:
+            self._fill += 1
+            self._count.fill(self._fill)
+            self._all_full = self._fill == capacity
+            return
+        if all_rows:
+            np.minimum(self._count + 1, capacity, out=self._count)
+        else:
+            self._fill = None
+            self._count[rows] = np.minimum(self._count[rows] + 1, capacity)
+        self._all_full = bool((self._count == capacity).all())
 
     def _push_performed(
         self,
         rows: np.ndarray,
+        slots: int | np.ndarray,
         old: np.ndarray,
-        old_performed: np.ndarray,
+        evicted: list[int],
         new: np.ndarray,
-        performed: np.ndarray,
+        admitted: list[int],
     ) -> np.ndarray:
-        # The performed-only sums and counts of a vector push: evict
-        # ``old`` where the outgoing entry was performed, then add
-        # ``new`` where the incoming one is (all arrays aligned with
-        # ``rows``; ``old`` must still hold the outgoing values).  Only
-        # those rows change — at q.n = 1 about two of hundreds — so they
-        # are updated one by one, unless so many changed that one masked
-        # full-width update is cheaper.  Either way every changed row
-        # sees the same evict-then-add arithmetic.  Returns those rows,
-        # in ``rows`` order.
-        evicted = old_performed.nonzero()[0]
-        admitted = performed.nonzero()[0]
-        if evicted.size + admitted.size > _SPARSE_ROWS:
+        # The performed flags, sums and counts of a vector push (the
+        # whole-window sums are the caller's).  ``evicted`` and
+        # ``admitted`` are positions in ``rows``: the rows whose
+        # outgoing entry was performed and the rows performing the
+        # incoming one.  ``old`` must still hold the outgoing values and
+        # ``slots`` is the ring slot being overwritten, shared or one
+        # per row.  Only those rows change — at q.n = 1 about two of
+        # hundreds — so each is read as Python floats, evicts and then
+        # admits with the dense form's IEEE operations in the same
+        # order, and is written back; when so many changed that one
+        # masked full-width update is cheaper (the warm-start slot
+        # evicting every row), that runs instead.  Returns the changed
+        # rows, in ``rows`` order.
+        if len(evicted) + len(admitted) > _SPARSE_ROWS:
+            old_performed = np.zeros(rows.size, dtype=bool)
+            old_performed[evicted] = True
+            performed = np.zeros(rows.size, dtype=bool)
+            performed[admitted] = True
             self._sum_performed[rows] -= np.where(
                 old_performed[:, None], old, 0.0
             )
@@ -496,20 +574,29 @@ class RowRingLog:
             self._count_performed[rows] += performed.astype(
                 np.int64
             ) - old_performed.astype(np.int64)
+            self._performed[slots, rows] = performed
             return rows[old_performed | performed]
         sums = self._sum_performed
         counts = self._count_performed
-        for at in evicted.tolist():
-            row = rows[at]
-            sums[row] -= old[at]
-            counts[row] -= 1
-        for at in admitted.tolist():
-            row = rows[at]
-            sums[row] += new[at]
-            counts[row] += 1
-        if not evicted.size:  # every push until the windows fill
-            return rows[admitted]
-        return rows[old_performed | performed]
+        flags = self._performed
+        shared = isinstance(slots, int)
+        channels = self._channel_range
+        changed = []
+        for at in sorted({*evicted, *admitted}) if evicted else sorted(admitted):
+            row = rows.item(at)
+            evicts = at in evicted
+            performs = at in admitted
+            for index in channels:
+                total = sums.item(row, index)
+                if evicts:
+                    total -= old.item(at, index)
+                if performs:
+                    total += new.item(at, index)
+                sums[row, index] = total
+            counts[row] = counts.item(row) + performs - evicts
+            flags[slots if shared else slots.item(at), row] = performs
+            changed.append(row)
+        return np.array(changed, dtype=np.int64)
 
     def push_scalar(
         self, row: int, values: Sequence[float], performed: bool
@@ -534,24 +621,10 @@ class RowRingLog:
             self._resync()
         return dirty
 
-    def _push_one(
-        self, row: int, values: dict[str, np.ndarray], performed: bool
-    ) -> bool:
-        # push() with a single row: validate the per-channel singleton
-        # arrays, then run the same scalar core as push_scalar (the
-        # push() wrapper owns the pushes/resync bookkeeping here).
-        scalars = []
-        for name in self._channels:
-            new_arr = np.asarray(values[name], dtype=float)
-            if new_arr.shape != (1,):
-                raise ValueError(f"channel {name!r} must align with row_indices")
-            scalars.append(new_arr[0])
-        return self._apply_scalar_push(row, scalars, performed)
-
     def _apply_scalar_push(
         self, row: int, values: Sequence[float], performed: bool
     ) -> bool:
-        # Scalar core shared by push_scalar and single-row push(): the
+        # Scalar core shared by push_scalar and single-row pushes: the
         # row's slot and sums are read once as Python floats and take
         # the same evict-old-then-add-new operations in the same order
         # as the vector paths, so they stay bit-identical while skipping
@@ -559,20 +632,25 @@ class RowRingLog:
         # 0.0 and False, so it evicts nothing.  Returns whether the
         # performed sums moved.
         self.scalar_pushes += 1
-        pos = int(self._pos[row])
-        old_performed = bool(self._performed[pos, row])
+        self._sync_positions()
+        pos = self._pos.item(row)
+        old_performed = self._performed.item(pos, row)
         slot = self._data[pos, row]
         sum_all = self._sum_all[row]
-        sum_performed = self._sum_performed[row]
         olds = slot.tolist()
         totals = sum_all.tolist()
-        performed_totals = sum_performed.tolist()
+        # The performed sums move only if the row performs or evicts a
+        # performed entry (never, for a log that records none).
+        moved = old_performed or performed
+        if moved:
+            sum_performed = self._sum_performed[row]
+            performed_totals = sum_performed.tolist()
         for index, value in enumerate(values):
             new = float(value)
             old = olds[index]
             slot[index] = new
             sum_all[index] = (totals[index] - old) + new
-            if old_performed or performed:
+            if moved:
                 total = performed_totals[index]
                 if old_performed:
                     total -= old
@@ -581,15 +659,20 @@ class RowRingLog:
                 sum_performed[index] = total
         if performed != old_performed:
             self._count_performed[row] += 1 if performed else -1
-        self._performed[pos, row] = performed
-        if int(self._count[row]) < self._capacity:
-            self._count[row] += 1
+            self._performed[pos, row] = performed
+        count = self._count.item(row)
+        if count < self._capacity:
+            self._count[row] = count + 1
+            self._fill = None
+            if count + 1 == self._capacity:
+                # This window just filled; it may have been the last.
+                self._all_full = bool((self._count == self._capacity).all())
         self._pos[row] = (pos + 1) % self._capacity
         if self._rows > 1:
             self._uniform_slot = None
         else:
             self._uniform_slot = (pos + 1) % self._capacity
-        return performed or old_performed
+        return moved
 
     def push_all_rows(
         self, values: dict[str, np.ndarray], performed: np.ndarray
@@ -635,7 +718,7 @@ class RowRingLog:
         Python floats from the same IEEE division as the array method,
         for callers refreshing a single row of a derived view.
         """
-        count = int(self._count[row])
+        count = self._count.item(row)
         if count == 0:
             return [default] * len(self._channels)
         return [total / count for total in self._sum_all[row].tolist()]
@@ -644,15 +727,16 @@ class RowRingLog:
         self, row: int, default: float = 0.0
     ) -> list[float]:
         """:meth:`mean_performed` of one row, every channel, in channel order."""
-        count = int(self._count_performed[row])
+        count = self._count_performed.item(row)
         if count == 0:
             return [default] * len(self._channels)
         return [total / count for total in self._sum_performed[row].tolist()]
 
     def row_values(self, row: int, channel: str) -> np.ndarray:
         """The remembered values of one row/channel, oldest first."""
-        count = int(self._count[row])
-        pos = int(self._pos[row])
+        self._sync_positions()
+        count = self._count.item(row)
+        pos = self._pos.item(row)
         data = self._data[:, row, self._channel_index[channel]]
         if count < self._capacity:
             return data[:count].copy()

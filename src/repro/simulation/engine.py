@@ -348,12 +348,16 @@ class MediatorSimulation:
         )
         self._candidate_cache: dict[int, np.ndarray] = {}
         self._candidate_epoch = -1
-        # Per-query scratch reused across arrivals so the hot loop stops
-        # allocating full-population intermediates (the ring log copies
-        # what it stores, so reuse is safe).
-        self._performed_scratch = np.zeros(config.n_providers, dtype=bool)
+        # Scratch for the clipped consumer intentions Equation 1
+        # averages, reused across arrivals.
         self._ci_clip_scratch = np.empty(config.n_providers, dtype=float)
-        self._pi_clip_scratch = np.empty(config.n_providers, dtype=float)
+        # Per consumer, (candidates, Equation 1 adequation) of its last
+        # query; only "preference" mode intentions make it constant.
+        self._adequation_memo: list | None = (
+            [None] * config.n_consumers
+            if config.consumer_intention_mode == "preference"
+            else None
+        )
 
         # Plain-int cache tallies: cheap, and they never feed back into
         # the run (telemetry and the audit's cache_hit read them).
@@ -761,30 +765,22 @@ class MediatorSimulation:
         self.utilization.assign(selected, query.cost_units, assume_unique=True)
 
         # --- satisfaction model updates -------------------------------
-        # Clips land in preallocated scratch (the pools copy what they
-        # store, so the buffers can be reused next arrival).
-        n_candidates = candidates.size
-        # min/max pair == np.clip without its dispatch wrapper.
-        ci_clipped = self._ci_clip_scratch[:n_candidates]
-        np.maximum(consumer_intentions, -1.0, out=ci_clipped)
-        np.minimum(ci_clipped, 1.0, out=ci_clipped)
-        adequation = query_adequation(ci_clipped)
-        satisfaction = query_satisfaction(
-            ci_clipped[positions], query.n_desired
+        adequation = self._query_adequation(
+            consumer, candidates, consumer_intentions
         )
+        # Equation 2 reads only the chosen intentions: clip those alone,
+        # as Python floats (the comparisons are the min/max clip).
+        chosen = [
+            -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
+            for value in consumer_intentions[positions].tolist()
+        ]
+        satisfaction = query_satisfaction(chosen, query.n_desired)
         self.consumers.record_query(consumer, adequation, satisfaction)
-
-        performed = self._performed_scratch[:n_candidates]
-        performed[:] = False
-        performed[positions] = True
-        pi_clipped = self._pi_clip_scratch[:n_candidates]
-        np.maximum(provider_intentions, -1.0, out=pi_clipped)
-        np.minimum(pi_clipped, 1.0, out=pi_clipped)
         self.providers.record_proposals(
             candidates,
-            intentions=pi_clipped,
+            intentions=provider_intentions,
             preferences=provider_preferences,
-            performed=performed,
+            performed_at=positions,
         )
         self._queries_served += 1
         for hook in on_phase:
@@ -819,6 +815,32 @@ class MediatorSimulation:
             upsilon=config.upsilon,
             epsilon=config.epsilon,
         )
+
+    def _query_adequation(
+        self, consumer: int, candidates: np.ndarray, intentions: np.ndarray
+    ) -> float:
+        """Equation 1 for one issued query, memoized where it is constant.
+
+        In ``"preference"`` mode a consumer's intentions towards a
+        candidate set are a fixed row of the preference matrix, so the
+        adequation only changes with the candidate set; the memo keys
+        it on the identity of the (cached, read-only) candidate array,
+        as the preference-band and utilization-denominator caches do.
+        """
+        memo = self._adequation_memo
+        if memo is not None:
+            entry = memo[consumer]
+            if entry is not None and entry[0] is candidates:
+                return entry[1]
+        # min/max pair == np.clip without its dispatch wrapper, into
+        # preallocated scratch.
+        clipped = self._ci_clip_scratch[: candidates.size]
+        np.maximum(intentions, -1.0, out=clipped)
+        np.minimum(clipped, 1.0, out=clipped)
+        adequation = query_adequation(clipped)
+        if memo is not None:
+            memo[consumer] = (candidates, adequation)
+        return adequation
 
     @staticmethod
     def _validate_selection(

@@ -8,18 +8,23 @@ the Section 3 semantics (including the strict Definition 4/5 zero for
 empty windows and the ``SQ ⊆ PQ`` coupling) and add activity masks for
 the autonomy experiments.
 
-The satisfaction/adequation views are maintained *incrementally*.  A
-pushed proposal changes every touched row's whole-window mean but only
-changes the performed-only mean of the rows that performed it or evicted
-a performed entry — a handful per query.  The pools therefore refresh
-the satisfaction (performed-mean) views eagerly on exactly those dirty
-rows, which the engine reads on every arrival, and recompute the
-adequation (whole-window) views lazily when they are actually read —
-once per sample or departure check rather than once per query.  Both
-refresh paths apply the same elementwise arithmetic as a wholesale
-recompute, so the views are bit-identical to the pre-cache behaviour;
-when the underlying log resyncs its running sums (drift cancellation),
+Each view is refreshed as often as it is read.  A pushed proposal
+changes every touched row's whole-window mean but only changes the
+performed-only mean of the rows that performed it or evicted a
+performed entry — a handful per query.  The satisfaction views, read on
+every arrival, are therefore refreshed eagerly on exactly those dirty
+rows (for a consumer, its one row); the adequation views of both pools,
+read only by samples, departure checks and the final arrays, are marked
+stale on every push and rebuilt wholesale when read.  Both refresh
+paths apply the same elementwise arithmetic as a wholesale recompute,
+so the views are bit-identical to the pre-cache behaviour; when the
+underlying log resyncs its running sums (drift cancellation),
 everything is rebuilt wholesale.
+
+:meth:`ProviderPool.record_proposals` owns the clip of the raw
+Definition 8 intentions: it clips them straight into a preallocated
+(providers × channels) block beside the preferences and pushes that
+block, with the positions of the providers that performed the query.
 
 The test suite cross-checks the pools against the scalar profiles on
 random interaction traces.
@@ -111,13 +116,24 @@ class ConsumerPool:
     ) -> None:
         """Push one issued query's per-query characteristics."""
         # Channel order matches the log's ("adequation", "satisfaction").
+        # Definitions 1-2 average over every issued query, so the log
+        # keeps no performed subset for consumers: nothing reads one.
         self._log.push_scalar(
-            consumer, (adequation, satisfaction), performed=True
+            consumer, (adequation, satisfaction), performed=False
         )
         if self._log.generation != self._generation:
             self._refresh_all()
-        else:
-            self._refresh_one(consumer)
+            return
+        # The satisfaction view is read on every arrival, so its one
+        # dirty row is refreshed now; the adequation view is read only
+        # by samples, departure checks and the final arrays, so it is
+        # rebuilt then.  The comparisons are np.clip on the finite
+        # means the view holds.
+        self._adequation_stale = True
+        _, mean = self._log.row_means_all(consumer, default=self._initial)
+        self._satisfaction_view[consumer] = (
+            0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
+        )
 
     def push_stats(self) -> dict[str, int]:
         """The underlying ring log's push-path tallies."""
@@ -127,27 +143,27 @@ class ConsumerPool:
         self.view_rebuilds += 1
         # Running-sum drift can nudge a mean a few ulps outside the
         # contractual [0, 1] range; clip.
-        self._adequation_view = np.clip(
-            self._log.mean_all("adequation", default=self._initial), 0.0, 1.0
-        )
         self._satisfaction_view = np.clip(
             self._log.mean_all("satisfaction", default=self._initial), 0.0, 1.0
         )
+        self._refresh_adequations()
         self._generation = self._log.generation
 
-    def _refresh_one(self, consumer: int) -> None:
-        # Scalar refresh of one dirty row; min/max is the scalar clip
-        # (the means are never NaN), so the values match _refresh_all.
-        # Channel order matches the log's ("adequation", "satisfaction").
-        adequation, satisfaction = self._log.row_means_all(
-            consumer, default=self._initial
+    def _refresh_adequations(self) -> None:
+        self.view_rebuilds += 1
+        self._adequation_view = np.clip(
+            self._log.mean_all("adequation", default=self._initial), 0.0, 1.0
         )
-        self._adequation_view[consumer] = min(max(adequation, 0.0), 1.0)
-        self._satisfaction_view[consumer] = min(max(satisfaction, 0.0), 1.0)
+        self._adequation_stale = False
+
+    def _current_adequations(self) -> np.ndarray:
+        if self._adequation_stale:
+            self._refresh_adequations()
+        return self._adequation_view
 
     def adequations(self) -> np.ndarray:
         """``δa(c)`` per consumer (Definition 1)."""
-        return self._adequation_view.copy()
+        return self._current_adequations().copy()
 
     def satisfactions(self) -> np.ndarray:
         """``δs(c)`` per consumer (Definition 2)."""
@@ -160,7 +176,7 @@ class ConsumerPool:
     def allocation_satisfactions(self) -> np.ndarray:
         """``δas(c)`` per consumer (Definition 3)."""
         return ratio_with_zero_convention(
-            self._satisfaction_view, self._adequation_view
+            self._satisfaction_view, self._current_adequations()
         )
 
     def queries_remembered(self) -> np.ndarray:
@@ -203,6 +219,10 @@ class ProviderPool:
         self._epoch = 0
         # Telemetry tally only; never feeds back into the simulation.
         self.view_rebuilds = 0
+        # The (providers x channels) block record_proposals fills and
+        # the log copies from, with its full-width columns.
+        self._block = np.empty((n_providers, len(self._BASES)), dtype=float)
+        self._block_columns = (self._block[:, 0], self._block[:, 1])
         # Neutral warm-start: intention/preference 0 maps to the 0.5
         # initial satisfaction after the (x+1)/2 rescale.  A non-0.5
         # initial value seeds the equivalent constant instead.
@@ -261,18 +281,30 @@ class ProviderPool:
         providers: np.ndarray,
         intentions: np.ndarray,
         preferences: np.ndarray,
-        performed: np.ndarray,
+        performed_at: np.ndarray,
     ) -> None:
         """Push one proposed query into the given providers' windows.
 
-        ``intentions`` must already be clipped to ``[-1, 1]`` (the
-        Section 2 range the satisfaction model is defined over).
+        ``intentions`` are the raw Definition 8 values; they are clipped
+        here to ``[-1, 1]``, the Section 2 range the satisfaction model
+        is defined over (values already in range pass unchanged).
+        ``performed_at`` holds the distinct positions in ``providers``
+        of the providers the query was allocated to.
         """
-        dirty = self._log.push(
-            providers,
-            {"intention": intentions, "preference": preferences},
-            performed=performed,
-        )
+        # Clip straight into the preallocated block the log copies
+        # from, beside the preferences, in the log's channel order
+        # ("intention", "preference"); min/max is np.clip without its
+        # dispatch wrapper.
+        block = self._block
+        if len(providers) == len(block):
+            shown, preferred = self._block_columns
+        else:
+            block = block[: len(providers)]
+            shown, preferred = block[:, 0], block[:, 1]
+        np.maximum(intentions, -1.0, out=shown)
+        np.minimum(shown, 1.0, out=shown)
+        preferred[...] = preferences
+        dirty = self._log.push_block(providers, block, performed_at)
         if self._log.generation != self._generation:
             self._refresh_all()
             return
@@ -300,6 +332,10 @@ class ProviderPool:
             self._satisfaction_views[basis] = np.clip(
                 (means_performed + 1.0) / 2.0, 0.0, 1.0
             )
+        # The same views in the log's channel order, for row refreshes.
+        self._satisfaction_columns = tuple(
+            self._satisfaction_views[basis] for basis in self._log.channels
+        )
         self._refresh_adequations()
         self._generation = self._log.generation
 
@@ -317,15 +353,18 @@ class ProviderPool:
         if rows.size <= 8:
             # The dirty set is almost always just the selected provider
             # plus the odd performed-entry eviction: Python-float
-            # arithmetic (min/max is the scalar clip; the means are never
-            # NaN) beats assembling masked subset arrays.
+            # arithmetic beats assembling masked subset arrays.  The
+            # comparisons are np.clip on the finite means the views hold.
             log = self._log
-            views = [self._satisfaction_views[basis] for basis in log.channels]
             for row in rows.tolist():
                 for view, mean in zip(
-                    views, log.row_means_performed(row, default=-1.0)
+                    self._satisfaction_columns,
+                    log.row_means_performed(row, default=-1.0),
                 ):
-                    view[row] = min(max((mean + 1.0) / 2.0, 0.0), 1.0)
+                    value = (mean + 1.0) / 2.0
+                    view[row] = (
+                        0.0 if value < 0.0 else 1.0 if value > 1.0 else value
+                    )
             return
         for basis in self._BASES:
             means = self._log.mean_performed_rows(basis, rows, default=-1.0)

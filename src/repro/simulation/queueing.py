@@ -88,10 +88,10 @@ class ProviderQueues:
         if providers.size == 1:
             # Scalar path for the paper's q.n = 1 (identical arithmetic:
             # the conditional is max(), float ops are the same IEEE ops).
-            provider = providers[0]
-            busy = float(self._busy_until[provider])
+            provider = providers.item(0)
+            busy = self._busy_until.item(provider)
             start = busy if busy > now else now
-            service = cost_units / float(self._capacities[provider])
+            service = cost_units / self._capacities.item(provider)
             completion = start + service
             self._busy_until[provider] = completion
             self._completed[provider] += 1
@@ -108,7 +108,7 @@ class ProviderQueues:
     def response_time(self, completions: np.ndarray, issued_at: float) -> float:
         """Consumer-observed response time for one query's completions."""
         if completions.size == 1:
-            return float(completions[0] - issued_at)
+            return completions.item(0) - issued_at
         return float(np.max(completions) - issued_at)
 
     def completed_counts(self) -> np.ndarray:

@@ -113,10 +113,10 @@ class UtilizationTracker:
         providers = np.asarray(providers, dtype=np.int64)
         if providers.size == 0:
             return
-        if assume_unique and np.ndim(units) == 0:
+        if assume_unique and (type(units) is float or np.ndim(units) == 0):
             if providers.size == 1:
                 # Scalar path for single-provider assignments (q.n = 1).
-                provider = providers[0]
+                provider = providers.item(0)
                 self._work[provider, self._current_bin] += units
                 self._row_sums[provider] += units
             else:

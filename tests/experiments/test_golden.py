@@ -27,7 +27,7 @@ from repro.simulation.config import (
     paper_config,
     tiny_config,
 )
-from repro.simulation.engine import run_simulation
+from repro.simulation.engine import MediatorSimulation, run_simulation
 
 #: (queries_issued, queries_served, response_time_post_warmup) of
 #: tiny_config(duration=60.0) at seed 5 — captive, so zero departures.
@@ -79,6 +79,19 @@ PAPER_SERIES_SHA256 = {
 }
 
 
+#: SHA-256 over the same three runs' end state: every ``final`` array
+#: (sorted names, raw bytes), then ``queries_served`` and both
+#: response-time means.  The series above are population means and
+#: fairness values; these pin the per-row views they summarise.
+PAPER_END_STATE_SHA256 = {
+    "sqlb": "2706b683f24eae13e3aabbc9974b5175352b53528c0eeb58201896e90d53a496",
+    "capacity":
+        "960050f7b1c5b2d1dc44171e2839f9c3dc6143062cd2d8af6c30155e62b90b51",
+    "mariposa":
+        "1805faf47b442a203e7634b2c2b3a7f3a240a875fca29a1d3a4f54dd280116e6",
+}
+
+
 def _series_fingerprint(result) -> str:
     digest = hashlib.sha256()
     digest.update(result.times().tobytes())
@@ -86,6 +99,44 @@ def _series_fingerprint(result) -> str:
         digest.update(name.encode())
         digest.update(result.series(name).tobytes())
     return digest.hexdigest()
+
+
+def _end_state_fingerprint(result) -> str:
+    digest = hashlib.sha256()
+    for name in sorted(result.final):
+        digest.update(name.encode())
+        digest.update(result.final[name].tobytes())
+    digest.update(np.array([result.queries_served], dtype=np.int64).tobytes())
+    digest.update(
+        np.array(
+            [result.response_time_mean, result.response_time_post_warmup]
+        ).tobytes()
+    )
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def paper_run():
+    """The 400-wide runs, one per method, shared by the tests below.
+
+    Returns a function of the method giving ``(simulation, result)``;
+    each run happens once per module, on first use.
+    """
+    config = paper_config(
+        duration=10.0,
+        sample_interval=2.0,
+        warmup_time=2.5,
+        workload=WorkloadSpec.fixed(0.8),
+    )
+    runs = {}
+
+    def run(method):
+        if method not in runs:
+            simulation = MediatorSimulation(config, method, seed=1)
+            runs[method] = (simulation, simulation.run())
+        return runs[method]
+
+    return run
 
 
 def captive_config():
@@ -132,17 +183,34 @@ def test_full_series_match_pre_overhaul_fingerprints(label, method):
 
 
 @pytest.mark.parametrize("method", sorted(PAPER_SERIES_SHA256))
-def test_paper_scale_series_match_fingerprints(method):
+def test_paper_scale_series_match_fingerprints(method, paper_run):
     """The 400-wide hot path is bit-identical to the frozen engine."""
-    config = paper_config(
-        duration=10.0,
-        sample_interval=2.0,
-        warmup_time=2.5,
-        workload=WorkloadSpec.fixed(0.8),
-    )
-    result = run_simulation(config, method, seed=1)
+    _, result = paper_run(method)
     assert len(result.times()) == 5
     assert _series_fingerprint(result) == PAPER_SERIES_SHA256[method]
+
+
+@pytest.mark.parametrize("method", sorted(PAPER_END_STATE_SHA256))
+def test_paper_scale_end_state_matches_fingerprints(method, paper_run):
+    """Every per-row view the run ends with is bit-identical too."""
+    _, result = paper_run(method)
+    assert _end_state_fingerprint(result) == PAPER_END_STATE_SHA256[method]
+
+
+@pytest.mark.parametrize("method", sorted(PAPER_SERIES_SHA256))
+def test_paper_scale_runs_stay_on_the_lockstep_path(method, paper_run):
+    """Every proposal takes the uniform all-rows push, every query the
+    scalar consumer push: a change that knocks the 400-wide rows off
+    the lockstep path keeps the outputs but not the speed."""
+    simulation, result = paper_run(method)
+    served = result.queries_served
+    # One warm-start push, then one proposal per served query.
+    assert simulation.providers.push_stats() == {
+        "uniform": served + 1, "scattered": 0, "scalar": 0,
+    }
+    assert simulation.consumers.push_stats() == {
+        "uniform": 0, "scattered": 0, "scalar": served,
+    }
 
 
 @pytest.mark.parametrize("method", sorted(CAPTIVE_GOLDEN))

@@ -27,22 +27,25 @@ from repro.simulation.participants import ConsumerPool, ProviderPool
 
 
 class DenseRowRingLog(RowRingLog):
-    """The full-width masked push forms, kept as the bit-exact reference."""
+    """The full-width masked push forms, kept as the bit-exact reference.
 
-    def _push_uniform_slot(self, rows, slot, new, performed, all_rows):
+    Each vector path rebuilds the performed masks from the positions it
+    is given and updates every pushed row through them, and every push
+    recomputes the fill mask and the counts instead of trusting a latch.
+    """
+
+    def _push_uniform_slot(self, rows, slot, new, admitted, all_rows):
         self.uniform_pushes += 1
+        performed = np.zeros(rows.size, dtype=bool)
+        performed[admitted] = True
         plane = self._data[slot]
         performed_plane = self._performed[slot]
         capacity = self._capacity
         if all_rows:
             old = plane
-            if self._all_full:
-                old_performed = performed_plane
-                self._sum_all -= old
-            else:
-                full = self._count == capacity
-                old_performed = performed_plane & full
-                self._sum_all -= np.where(full[:, None], old, 0.0)
+            full = self._count == capacity
+            old_performed = performed_plane & full
+            self._sum_all -= np.where(full[:, None], old, 0.0)
             self._sum_performed -= np.where(old_performed[:, None], old, 0.0)
             dirty_mask = performed | old_performed
             self._count_performed += performed.astype(
@@ -52,21 +55,14 @@ class DenseRowRingLog(RowRingLog):
             self._sum_all += new
             self._sum_performed += np.where(performed[:, None], new, 0.0)
             performed_plane[...] = performed
-            if not self._all_full:
-                np.minimum(self._count + 1, capacity, out=self._count)
-                if bool((self._count == capacity).all()):
-                    self._all_full = True
+            np.minimum(self._count + 1, capacity, out=self._count)
             self._pos[...] = (slot + 1) % capacity
             self._uniform_slot = (slot + 1) % capacity
             return rows[dirty_mask]
         old = plane[rows]
-        if self._all_full:
-            old_performed = performed_plane[rows]
-            self._sum_all[rows] -= old
-        else:
-            full = self._count[rows] == capacity
-            old_performed = performed_plane[rows] & full
-            self._sum_all[rows] -= np.where(full[:, None], old, 0.0)
+        full = self._count[rows] == capacity
+        old_performed = performed_plane[rows] & full
+        self._sum_all[rows] -= np.where(full[:, None], old, 0.0)
         self._sum_performed[rows] -= np.where(old_performed[:, None], old, 0.0)
         dirty_mask = performed | old_performed
         self._count_performed[rows] += performed.astype(
@@ -76,16 +72,15 @@ class DenseRowRingLog(RowRingLog):
         self._sum_all[rows] += new
         self._sum_performed[rows] += np.where(performed[:, None], new, 0.0)
         performed_plane[rows] = performed
-        if not self._all_full:
-            self._count[rows] = np.minimum(self._count[rows] + 1, capacity)
-            if bool((self._count == capacity).all()):
-                self._all_full = True
+        self._count[rows] = np.minimum(self._count[rows] + 1, capacity)
         self._pos[rows] = (slot + 1) % capacity
         self._uniform_slot = None
         return rows[dirty_mask]
 
-    def _push_scattered(self, rows, pos, new, performed):
+    def _push_scattered(self, rows, pos, new, admitted):
         self.scattered_pushes += 1
+        performed = np.zeros(rows.size, dtype=bool)
+        performed[admitted] = True
         full = self._count[rows] == self._capacity
         old_performed = self._performed[pos, rows] & full
         old = self._data[pos, rows]
@@ -98,10 +93,7 @@ class DenseRowRingLog(RowRingLog):
             np.int64
         ) - old_performed.astype(np.int64)
         self._performed[pos, rows] = performed
-        if not self._all_full:
-            self._count[rows] = np.minimum(
-                self._count[rows] + 1, self._capacity
-            )
+        self._count[rows] = np.minimum(self._count[rows] + 1, self._capacity)
         self._pos[rows] = (pos + 1) % self._capacity
         return rows[performed | old_performed]
 
@@ -150,15 +142,16 @@ def draw_values(rng, n):
 
 def push_program(seed, n_rows, n_pushes):
     """Random pushes over every path: lockstep, warm-start, subset,
-    scattered, scalar and single-row, with multi-row performed sets."""
+    scattered, scalar and single-row, with multi-row performed sets,
+    through the mapping form and the block form."""
     rng = np.random.default_rng(seed)
-    kinds = ("all", "all", "all", "warm", "subset", "scalar", "single")
+    kinds = ("all", "all", "all", "warm", "subset", "scalar", "single", "block")
     pushes = []
     for _ in range(n_pushes):
         kind = kinds[rng.integers(len(kinds))]
-        if kind in ("all", "warm"):
+        if kind in ("all", "warm") or (kind == "block" and rng.random() < 0.6):
             rows = list(range(n_rows))
-        elif kind == "subset":
+        elif kind in ("subset", "block"):
             # Any order: pushes accept distinct rows, not sorted ones.
             rows = rng.permutation(n_rows)[: rng.integers(2, n_rows + 1)].tolist()
         else:
@@ -177,6 +170,14 @@ def apply_push(log, kind, rows, channel_values, performed):
     if kind == "scalar":
         return log.push_scalar(
             rows[0], channel_values[:2], performed[0]
+        )
+    if kind == "block":
+        # Positions in any order, as a method returns its selection.
+        positions = np.flatnonzero(performed)
+        return log.push_block(
+            np.array(rows),
+            np.column_stack((channel_values[:n], channel_values[n:])),
+            positions[np.random.default_rng(n).permutation(positions.size)],
         )
     return log.push(
         np.array(rows),
@@ -244,8 +245,14 @@ class TestSparsePushesMatchDenseReference:
         assert_same_observables(log, reference, n_rows)
 
 
-def pool_program(seed, n_providers, n_consumers, n_steps):
-    """Proposals and consumer queries in the engine's shapes."""
+def pool_program(seed, n_providers, n_consumers, n_steps, lockstep):
+    """Proposals and consumer queries in the engine's shapes.
+
+    Proposals carry raw Definition 8 intentions (the negative branch
+    reaches about -2.5), the preferences, and the positions a method
+    selected, in its order.  ``lockstep`` proposes every query to every
+    provider, so the warm-start slot wraps on the all-rows path.
+    """
     rng = np.random.default_rng(seed)
     steps = []
     for _ in range(n_steps):
@@ -256,14 +263,18 @@ def pool_program(seed, n_providers, n_consumers, n_steps):
         # Sorted candidates, as a departure-shrunk universal matchmaker
         # hands them over; mostly everyone.
         rows = np.arange(n_providers)
-        if rng.random() < 0.3:
+        if not lockstep and rng.random() < 0.3:
             rows = rows[rng.random(n_providers) < 0.7]
         if rows.size < 2:
             rows = np.arange(n_providers)
-        performed = np.zeros(rows.size, dtype=bool)
-        performed[rng.integers(rows.size, size=rng.integers(0, 4))] = True
-        values = draw_values(rng, 2 * rows.size)
-        steps.append(("propose", rows.tolist(), values, performed.tolist()))
+        positions = rng.permutation(rows.size)[: rng.integers(0, 4)]
+        intentions = rng.uniform(-2.6, 1.0, rows.size)
+        raw = rng.random(rows.size) < 0.3
+        intentions[raw] = rng.choice([-2.5, -1.0, 0.0, 1.0], int(raw.sum()))
+        preferences = draw_values(rng, rows.size)
+        steps.append(
+            ("propose", rows.tolist(), intentions.tolist(), preferences, positions.tolist())
+        )
     return steps
 
 
@@ -277,12 +288,14 @@ class TestPoolViewsMatchDenseReference:
         warm=st.integers(min_value=0, max_value=5),
         resync=st.integers(min_value=2, max_value=25),
         n_steps=st.integers(min_value=1, max_value=40),
+        lockstep=st.booleans(),
     )
     def test_incremental_views_are_bit_identical(
-        self, seed, n_providers, n_consumers, memory_size, warm, resync, n_steps
+        self, seed, n_providers, n_consumers, memory_size, warm, resync,
+        n_steps, lockstep,
     ):
         warm = min(warm, memory_size)
-        steps = pool_program(seed, n_providers, n_consumers, n_steps)
+        steps = pool_program(seed, n_providers, n_consumers, n_steps, lockstep)
         with mock.patch.object(memory, "_RESYNC_INTERVAL", resync):
             with mock.patch.object(participants, "RowRingLog", DenseRowRingLog):
                 ref_providers = ProviderPool(
@@ -299,23 +312,33 @@ class TestPoolViewsMatchDenseReference:
                     for pool in (consumers, ref_consumers):
                         pool.record_query(consumer, adequation, satisfaction)
                 else:
-                    _, rows, channel_values, performed = step
-                    n = len(rows)
-                    for pool in (providers, ref_providers):
+                    _, rows, intentions, preferences, positions = step
+                    # The reference gets np.clip's values: the pool's
+                    # own clip must match it (and clipping twice is
+                    # clipping once).
+                    for pool, shown in (
+                        (providers, np.array(intentions)),
+                        (ref_providers, np.clip(intentions, -1.0, 1.0)),
+                    ):
                         pool.record_proposals(
                             np.array(rows),
-                            intentions=np.array(channel_values[:n]),
-                            preferences=np.array(channel_values[n:]),
-                            performed=np.array(performed, dtype=bool),
+                            intentions=shown,
+                            preferences=np.array(preferences),
+                            performed_at=np.array(positions, dtype=np.int64),
                         )
                 for view, reference, channel in (
                     (consumers.satisfactions(), ref_consumers.satisfactions(), "satisfaction"),
                     (consumers.adequations(), ref_consumers.adequations(), "adequation"),
                 ):
                     assert np.array_equal(view, reference)
-                    # The one-row refresh equals a wholesale recompute.
+                    # The one-row refresh and the rebuild on read equal
+                    # a wholesale recompute.
                     means = consumers._log.mean_all(channel, default=0.5)
                     assert np.array_equal(view, np.clip(means, 0.0, 1.0))
+                assert np.array_equal(
+                    consumers.allocation_satisfactions(),
+                    ref_consumers.allocation_satisfactions(),
+                )
                 for basis in ("intention", "preference"):
                     views = providers.satisfactions(basis)
                     assert np.array_equal(views, ref_providers.satisfactions(basis))

@@ -391,3 +391,81 @@ class TestRowRingLogBulkPaths:
         assert log.mean_all("v")[2] == pytest.approx((0.2 + 0.3) / 2)
         assert log.mean_performed("v", default=-1.0)[0] == pytest.approx(0.9)
         assert log.mean_performed("v", default=-1.0)[2] == -1.0
+
+
+class TestRowRingLogBlockPushes:
+    """The block form the simulator pushes through, and the fill latch."""
+
+    def test_push_block_validates_shape_and_positions(self):
+        log = RowRingLog(rows=3, capacity=2, channels=("a", "b"))
+        rows = np.arange(3)
+        with pytest.raises(ValueError):
+            log.push_block(rows, np.zeros((3, 1)), np.array([0]))
+        with pytest.raises(ValueError):
+            log.push_block(rows, np.zeros((2, 2)), np.array([0]))
+        # A boolean mask is not a list of positions.
+        with pytest.raises(TypeError):
+            log.push_block(rows, np.zeros((3, 2)), np.array([True, False, False]))
+        assert log.push_stats() == {"uniform": 0, "scattered": 0, "scalar": 0}
+
+    def test_push_block_matches_the_mapping_form(self):
+        via_block = RowRingLog(rows=4, capacity=3, channels=("a", "b"))
+        via_mapping = RowRingLog(rows=4, capacity=3, channels=("a", "b"))
+        rng = np.random.default_rng(7)
+        for step in range(10):
+            rows = np.arange(4) if step % 3 else np.array([2, 0, 3])
+            values = rng.uniform(-1.0, 1.0, (rows.size, 2))
+            positions = rng.permutation(rows.size)[: step % 3]
+            mask = np.zeros(rows.size, dtype=bool)
+            mask[positions] = True
+            dirty = via_block.push_block(rows, values, positions)
+            expected = via_mapping.push(
+                rows, {"a": values[:, 0], "b": values[:, 1]}, performed=mask
+            )
+            # Changed rows come back in ``rows`` order, however the
+            # positions were ordered.
+            assert dirty.tolist() == expected.tolist()
+            assert dirty.dtype == np.int64
+        for channel in ("a", "b"):
+            assert np.array_equal(
+                via_block.mean_performed(channel), via_mapping.mean_performed(channel)
+            )
+            assert np.array_equal(
+                via_block.mean_all(channel), via_mapping.mean_all(channel)
+            )
+
+    @pytest.mark.parametrize(
+        ("path", "last"),
+        [
+            ("lockstep", "uniform"),
+            ("subset", "uniform"),
+            ("scattered", "scattered"),
+            ("scalar", "scalar"),
+        ],
+    )
+    def test_fill_latches_on_every_push_path(self, path, last):
+        """Whichever path fills the last window latches the log full, so
+        no later push updates counts that cannot change."""
+        log = RowRingLog(rows=3, capacity=2, channels=("v",))
+        nobody = np.array([], dtype=np.int64)
+        everyone = np.arange(3)
+        log.push_block(everyone, np.zeros((3, 1)), nobody)
+        if path in ("subset", "scattered"):
+            # Row 1 runs one push ahead of rows 0 and 2.
+            log.push_scalar(1, (0.5,), False)
+        elif path == "scalar":
+            log.push_block(np.array([0, 1]), np.zeros((2, 1)), nobody)
+        before = log.push_stats()
+        if path == "lockstep":
+            log.push_block(everyone, np.zeros((3, 1)), nobody)
+        elif path == "subset":
+            # Rows 0 and 2 still share one slot.
+            log.push_block(np.array([0, 2]), np.zeros((2, 1)), nobody)
+        elif path == "scattered":
+            # Every row, sitting at two different slots.
+            log.push_block(everyone, np.zeros((3, 1)), nobody)
+        else:
+            log.push_scalar(2, (0.5,), False)
+        assert log.push_stats()[last] == before[last] + 1
+        assert log.counts().tolist() == [2, 2, 2]
+        assert log._all_full

@@ -6,17 +6,23 @@ The cache invariant — cached candidates always equal a fresh
 ``np.flatnonzero``-style recomputation — is exercised here across
 randomized departure sequences, for both cacheable matchmakers and a
 custom non-cacheable one; a matchmaker breaking the candidate-set
-contract is refused on every fetch.
+contract is refused on every fetch.  The Equation 1 adequation memo,
+keyed on the identity of those arrays, always equals a fresh
+computation.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.config import tiny_config
+from repro.model.consumer_profile import query_adequation
+from repro.simulation import engine
+from repro.simulation.config import DepartureRules, WorkloadSpec, tiny_config
 from repro.simulation.engine import MediatorSimulation
 from repro.simulation.matchmaking import CapabilityMatchmaker, Matchmaker
 from repro.simulation.queries import Query
@@ -182,3 +188,65 @@ class TestMalformedCandidateSets:
         sim.providers.deactivate(3)
         with pytest.raises(ValueError, match="inactive providers"):
             sim._candidates(make_query(0))
+
+
+class AdequationCheck:
+    """Observer: every served query's Equation 1 adequation, recomputed."""
+
+    def __init__(self):
+        self.checked = 0
+
+    def on_decision(self, request, positions, adequation, satisfaction, hit):
+        clipped = np.clip(request.consumer_intentions, -1.0, 1.0)
+        assert adequation == query_adequation(clipped)
+        self.checked += 1
+
+
+def alternating_capability():
+    capability = np.zeros((16, 2), dtype=bool)
+    capability[::2, 0] = True
+    capability[1::2, 1] = True
+    capability[:3, :] = True
+    return capability
+
+
+class TestAdequationMemo:
+    @pytest.mark.parametrize("mode", ["preference", "formula"])
+    @pytest.mark.parametrize(
+        "matchmaker",
+        [None, "capability", "uncached"],
+    )
+    def test_memo_equals_a_fresh_adequation(self, mode, matchmaker):
+        """Departures, alternating candidate sets by class and fresh
+        arrays every query: a memo hit is never stale."""
+        config = tiny_config(
+            duration=120.0,
+            workload=WorkloadSpec.fixed(1.0),
+            consumer_intention_mode=mode,
+        ).with_departures(DepartureRules.autonomous(True))
+        built = {
+            None: None,
+            "capability": CapabilityMatchmaker(alternating_capability()),
+            "uncached": CountingMatchmaker(),
+        }[matchmaker]
+        check = AdequationCheck()
+        result = MediatorSimulation(
+            config, "sqlb", seed=2, matchmaker=built, observers=(check,)
+        ).run()
+        assert result.departures
+        assert check.checked == result.queries_served > 0
+
+    @pytest.mark.parametrize(
+        ("mode", "memoized"), [("preference", True), ("formula", False)]
+    )
+    def test_preference_mode_computes_once_per_consumer(self, mode, memoized):
+        config = tiny_config(duration=60.0, consumer_intention_mode=mode)
+        with mock.patch.object(
+            engine, "query_adequation", wraps=query_adequation
+        ) as counted:
+            result = MediatorSimulation(config, "sqlb", seed=5).run()
+        # Captive: one candidate array for the whole run.
+        if memoized:
+            assert counted.call_count <= config.n_consumers
+        else:
+            assert counted.call_count == result.queries_served

@@ -110,7 +110,7 @@ class TestProviderPool:
             providers,
             intentions=np.array([1.0, -1.0]),
             preferences=np.array([-1.0, 1.0]),
-            performed=np.array([True, True]),
+            performed_at=np.array([0, 1]),
         )
         assert pool.satisfactions("intention")[0] == pytest.approx(1.0)
         assert pool.satisfactions("preference")[0] == pytest.approx(0.0)
@@ -124,7 +124,7 @@ class TestProviderPool:
                 np.array([0]),
                 intentions=np.array([0.8]),
                 preferences=np.array([0.8]),
-                performed=np.array([False]),
+                performed_at=np.array([], dtype=np.int64),
             )
         assert pool.adequations()[0] == pytest.approx(0.9)
         assert pool.satisfactions()[0] == 0.0
@@ -137,7 +137,7 @@ class TestProviderPool:
                 np.array([0]),
                 intentions=np.array([0.5]),
                 preferences=np.array([0.5]),
-                performed=np.array([False]),
+                performed_at=np.array([], dtype=np.int64),
             )
         # Provider 0's warm entry was evicted: strict Definition 5.
         assert pool.satisfactions()[0] == 0.0
@@ -171,7 +171,7 @@ class TestProviderPool:
                 np.array([0]),
                 intentions=np.array([intention]),
                 preferences=np.array([preference]),
-                performed=np.array([performed]),
+                performed_at=np.flatnonzero([performed]),
             )
             profile.record_proposal(intention, preference, performed)
         for basis in ("intention", "preference"):

@@ -882,6 +882,52 @@ class TestReliabilityCommands:
         )
         self._run(capsys, "store", "verify", "--cache-dir", store_dir)
 
+    def test_store_verify_leaves_a_put_in_flight_alone(self, tmp_path, capsys):
+        """A fresh orphan payload is a live put between its two writes,
+        as queue fsck judges it: listed, kept, and the store stays
+        clean; the same file aged past the gate is crash litter."""
+        import json as jsonlib
+        import os
+        import time
+
+        from repro.experiments.store import ResultStore
+        from repro.simulation.config import tiny_config
+        from repro.simulation.engine import run_simulation
+
+        store_dir = tmp_path / "store"
+        key = ResultStore(store_dir).put(
+            run_simulation(tiny_config(duration=40.0), "sqlb", seed=3)
+        )
+        npz = store_dir / f"{key}.npz"
+        (store_dir / f"{key}.json").unlink()
+        out = self._run(capsys, "store", "verify", "--cache-dir", str(store_dir))
+        assert f"(a put in flight, left alone): {key}" in out
+        assert "store is clean" in out
+        frame = jsonlib.loads(
+            self._run(
+                capsys, "store", "verify", "--cache-dir", str(store_dir),
+                "--prune", "--json",
+            )
+        )
+        assert frame["clean"] is True
+        assert frame["orphan_npz"] == []
+        assert frame["orphan_npz_in_flight"] == [key]
+        assert frame["pruned_files"] == 0
+        assert npz.exists()
+
+        old = time.time() - 10_000.0
+        os.utime(npz, (old, old))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", "verify", "--cache-dir", str(store_dir)])
+        assert excinfo.value.code == 1
+        assert f"orphan npz (interrupted put): {key}" in capsys.readouterr().out
+        out = self._run(
+            capsys, "store", "verify", "--cache-dir", str(store_dir), "--prune"
+        )
+        assert "pruned 1 file(s)" in out
+        assert not npz.exists()
+        self._run(capsys, "store", "verify", "--cache-dir", str(store_dir))
+
     def test_store_verify_prunes_a_zero_byte_payload(self, tmp_path, capsys):
         """What a power loss after the rename leaves without durable
         writes is ``unreadable``, not a traceback, and --prune repairs
