@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import warnings
@@ -531,7 +532,7 @@ def render_catalog(
         if use_images:
             for fmt in image_formats:
                 path = out_dir / f"{spec.name}.{fmt}"
-                _render_matplotlib(payload, path, fmt)
+                atomic_write(path, _render_matplotlib(payload, fmt))
                 written.append(path)
     return RenderReport(
         out_dir=out_dir,
@@ -561,8 +562,8 @@ def _subplot_grid(figure, count: int):
     ]
 
 
-def _render_matplotlib(payload: dict, path: Path, fmt: str) -> None:
-    """Render one figure payload to SVG/PNG, deterministically.
+def _render_matplotlib(payload: dict, fmt: str) -> bytes:
+    """Render one figure payload to SVG/PNG bytes, deterministically.
 
     Determinism levers: a fixed hashsalt (SVG ids), no Date metadata,
     fixed geometry/dpi, and colours assigned from the payload's own
@@ -611,7 +612,9 @@ def _render_matplotlib(payload: dict, path: Path, fmt: str) -> None:
     figure.suptitle(payload["title"], fontsize=11)
     figure.tight_layout(rect=(0, 0.06, 1, 0.95))
     metadata = {"Date": None} if fmt == "svg" else None
-    figure.savefig(path, format=fmt, metadata=metadata)
+    buffer = io.BytesIO()
+    figure.savefig(buffer, format=fmt, metadata=metadata)
+    return buffer.getvalue()
 
 
 def _clean(values: list) -> np.ndarray:

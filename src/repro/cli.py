@@ -83,8 +83,7 @@ Subcommands::
         small + paper-scale populations) and report queries/sec; --out
         writes the machine-readable BENCH_engine.json, --check compares
         against a committed baseline and exits non-zero on a regression
-        beyond --tolerance (default 30 %), --profile N appends a cProfile
-        top-N of the hot path.
+        beyond --tolerance (default 30 %).
 
 The simulation-running subcommands accept ``--cache-dir PATH`` (persist
 completed runs to a disk store so re-invocations skip simulation) and
@@ -151,7 +150,6 @@ from repro.experiments.perf import (
     format_report,
     load_history,
     load_report,
-    profile_run,
     run_perf,
     write_report,
 )
@@ -1100,13 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.30,
         help="allowed fractional qps drop before --check fails "
         "(default 0.30)",
-    )
-    perf.add_argument(
-        "--profile",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="append a cProfile top-N of one representative cell",
     )
     perf.add_argument(
         "--repeats",
@@ -2546,10 +2537,6 @@ def _cmd_perf(args: argparse.Namespace) -> str:
     if args.history:
         append_history(report, args.history)
         lines.append(f"history row appended to {args.history}")
-    if args.profile:
-        lines.append("")
-        lines.append(f"cProfile top {args.profile} (captive_small/sqlb):")
-        lines.append(profile_run(top=args.profile))
     if args.out:
         write_report(report, args.out)
         lines.append(f"report written to {args.out}")

@@ -37,7 +37,6 @@ from repro.experiments.perf import (
     PerfCell,
     compare_reports,
     format_report,
-    profile_run,
     run_perf,
 )
 from repro.experiments.store import ResultStore, cache_key
@@ -80,7 +79,6 @@ __all__ = [
     "format_surface",
     "get_default_executor",
     "predict_departure_risks",
-    "profile_run",
     "provider_departure_curve",
     "response_time_curve",
     "run_method_family",

@@ -7,12 +7,10 @@ autonomous, small and paper-scale populations) is timed end-to-end, the
 results are written to ``BENCH_engine.json``, and CI compares fresh
 numbers against the committed baseline, failing on a >30 % drop.
 
-Three entry points, all reachable through ``repro perf``:
+Two entry points, both reachable through ``repro perf``:
 
 * :func:`run_perf` — run the matrix (or its ``--quick`` subset) and
   return a serialisable report.
-* :func:`profile_run` — cProfile one representative cell and return the
-  top-N functions by cumulative time.
 * :func:`compare_reports` — regression check of a fresh report against
   a baseline file's cells.
 
@@ -23,10 +21,7 @@ refreshed whenever the engine's performance profile changes materially
 
 from __future__ import annotations
 
-import cProfile
-import io
 import json
-import pstats
 import sys
 import time
 from collections.abc import Callable
@@ -54,7 +49,6 @@ __all__ = [
     "format_report",
     "history_row",
     "load_history",
-    "profile_run",
     "run_perf",
 ]
 
@@ -193,30 +187,6 @@ def run_perf(
         "cells": cells,
         "aggregate_qps": round(total_queries / total_seconds, 1),
     }
-
-
-def profile_run(
-    cell_name: str = "captive_small",
-    method: str = "sqlb",
-    top: int = 15,
-    seed: int = PERF_SEED,
-) -> str:
-    """cProfile one cell/method and return the top-N cumulative lines."""
-    by_name = {cell.name: cell for cell in PERF_MATRIX}
-    if cell_name not in by_name:
-        raise ValueError(
-            f"unknown perf cell {cell_name!r}; "
-            f"available: {sorted(by_name)}"
-        )
-    config = by_name[cell_name].build()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_simulation(config, method, seed=seed)
-    profiler.disable()
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats("cumulative").print_stats(top)
-    return stream.getvalue()
 
 
 def compare_reports(

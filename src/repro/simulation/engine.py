@@ -304,7 +304,6 @@ class MediatorSimulation:
             initial=self._rng_environment.uniform(
                 0.05, 1.0, config.n_providers
             ),
-            feedback_weight=0.0,
         )
 
         # --- live state ------------------------------------------------

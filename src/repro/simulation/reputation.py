@@ -4,9 +4,8 @@ Reputation ``rep(p) ∈ [-1, 1]`` enters the consumer-intention formula
 (Definition 7) weighted by ``1 - υ``.  The paper treats reputation as an
 external signal whose origin is out of scope ("it is taken into account
 as much as participants consider it important"), so this module provides
-a small registry that can either hold static values or aggregate
-consumer feedback as a decayed running mean — enough to exercise the
-``υ`` trade-off in Definition 7 and the reputation example application.
+a small registry of static values — enough to exercise the ``υ``
+trade-off in Definition 7 and the reputation example application.
 """
 
 from __future__ import annotations
@@ -17,40 +16,31 @@ __all__ = ["ReputationRegistry"]
 
 
 class ReputationRegistry:
-    """Holds and updates one reputation value per provider.
+    """Holds one reputation value per provider.
 
     Parameters
     ----------
     n_providers:
         Population size.
     initial:
-        Initial reputation values; scalar or per-provider array.  The
-        default 0.5 is a mildly positive prior, keeping Definition 7's
-        positive branch reachable for liked providers.
-    feedback_weight:
-        Exponential-moving-average weight of a new rating; 0 freezes the
-        registry (static reputations).
+        Reputation values; scalar or per-provider array.  The default
+        0.5 is a mildly positive prior, keeping Definition 7's positive
+        branch reachable for liked providers.
     """
 
     def __init__(
         self,
         n_providers: int,
         initial: float | np.ndarray = 0.5,
-        feedback_weight: float = 0.05,
     ) -> None:
         if n_providers <= 0:
             raise ValueError(f"n_providers must be positive, got {n_providers}")
-        if not 0.0 <= feedback_weight <= 1.0:
-            raise ValueError(
-                f"feedback_weight must be in [0, 1], got {feedback_weight}"
-            )
         values = np.broadcast_to(
             np.asarray(initial, dtype=float), (n_providers,)
         ).copy()
         if values.min() < -1.0 or values.max() > 1.0:
             raise ValueError("reputations must lie in [-1, 1]")
         self._values = values
-        self._weight = float(feedback_weight)
 
     @property
     def values(self) -> np.ndarray:
@@ -60,26 +50,3 @@ class ReputationRegistry:
     def of(self, providers: np.ndarray) -> np.ndarray:
         """Reputations of a provider subset."""
         return self._values[providers]
-
-    def rate(self, provider: int, rating: float) -> None:
-        """Fold one consumer rating in ``[-1, 1]`` into the reputation."""
-        if not -1.0 <= rating <= 1.0:
-            raise ValueError(f"rating must be in [-1, 1], got {rating}")
-        if self._weight == 0.0:
-            return
-        current = self._values[provider]
-        self._values[provider] = (
-            (1.0 - self._weight) * current + self._weight * rating
-        )
-
-    def rate_many(self, providers: np.ndarray, ratings: np.ndarray) -> None:
-        """Vectorised :meth:`rate` over distinct providers."""
-        if self._weight == 0.0:
-            return
-        ratings = np.asarray(ratings, dtype=float)
-        if ratings.min() < -1.0 or ratings.max() > 1.0:
-            raise ValueError("ratings must lie in [-1, 1]")
-        current = self._values[providers]
-        self._values[providers] = (
-            (1.0 - self._weight) * current + self._weight * ratings
-        )

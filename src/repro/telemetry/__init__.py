@@ -35,7 +35,6 @@ from repro.telemetry.profiling import (
     format_hotspots,
     profile_job,
 )
-from repro.telemetry.quantiles import P2Quantile
 from repro.telemetry.registry import (
     TELEMETRY_DIR_ENV,
     Telemetry,
@@ -64,7 +63,6 @@ from repro.telemetry.tracing import (
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "MERGED_EVENTS_NAME",
-    "P2Quantile",
     "PROFILE_DIR_ENV",
     "TELEMETRY_DIR_ENV",
     "Telemetry",

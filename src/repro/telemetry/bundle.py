@@ -341,7 +341,7 @@ def render_bundle(
         "<h2>Drain decomposition</h2>",
         _workers_table(timeline),
         critical_html,
-        "<h2>Engine phases (count-weighted merged quantiles)</h2>",
+        "<h2>Engine phases (exact quantiles over every process)</h2>",
         _phases_table(timeline),
         "<h2>Fleet counters</h2>",
         _counters_table(report),

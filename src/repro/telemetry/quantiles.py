@@ -1,130 +1,115 @@
-"""Streaming quantile estimation — the P² algorithm, stdlib-only.
+"""The one telemetry quantile rule, and the histogram timers keep.
 
-The telemetry layer wants latency quantiles (p50/p90/p99 of per-query
-dispatch time, per-job wall time) without storing observations: a
-simulation serves hundreds of thousands of queries and the registry
-must stay O(1) per metric.  The P² algorithm (Jain & Chlamtac, CACM
-1985) maintains five markers per tracked quantile — the running min,
-max, the target quantile, and the two midpoints — adjusting marker
-heights with a piecewise-parabolic fit as observations stream in.
-Constant memory, a handful of float operations per observation, and
-accuracy well within the few-percent band the report surfaces round to.
+Every quantile a telemetry surface prints (p50/p90/p99 of per-query
+dispatch time, of per-job wall time, of engine phase durations) is the
+linear ("inclusive") quantile of the union of the observations: the
+value at position ``q · (n - 1)`` of the sorted sample, interpolated
+between its two neighbours, as numpy's default and
+``statistics.quantiles(..., method="inclusive")`` compute it.
 
-This module deliberately imports nothing from the rest of the package
-(and no numpy): the telemetry layer must be importable from the
-engine's hot path without dragging in any simulation machinery.
+``telemetry timeline`` holds the raw durations and applies the rule
+exactly.  A registry timer cannot keep its observations (a run serves
+hundreds of thousands of queries), so it counts them in a log-bucket
+histogram: ``math.frexp`` splits a positive value into a mantissa in
+[0.5, 1) and a power of two, the mantissa range is cut into
+:data:`SUB_BUCKETS` equal parts, and zero has a bucket of its own.  No
+bucket is wider than 1/32 of the values in it, so a bucket's midpoint
+is within 1/64 of any of them.  Histograms merge exactly, by adding
+counts key by key, so timers merged across processes give the
+quantiles of their union to within that half bucket.
+
+This module imports nothing from the rest of the package (and no
+numpy): the engine's hot path imports the telemetry layer.
 """
 
 from __future__ import annotations
 
-__all__ = ["P2Quantile"]
+import bisect
+import itertools
+import math
+from collections.abc import Callable
+
+__all__ = [
+    "QUANTILE_FIELDS",
+    "SUB_BUCKETS",
+    "bucket_key",
+    "histogram_quantiles",
+    "inclusive_quantile",
+]
+
+#: The quantiles every telemetry surface reports, by field name.
+QUANTILE_FIELDS = (("p50_s", 0.5), ("p90_s", 0.9), ("p99_s", 0.99))
+
+#: Buckets per octave ``[2**k, 2**(k + 1))``.  A bucket is 1/32 of the
+#: octave it splits, so it is no wider than 1/32 (about 3 %) of any
+#: value in it.
+SUB_BUCKETS = 32
+
+#: Lifts every ``frexp`` exponent, down to the smallest positive
+#: double's (-1073), so that positive values take keys above 0 and
+#: key 0 is the zero bucket.
+_EXPONENT_BIAS = 1 - math.frexp(math.ulp(0.0))[1]
 
 
-class P2Quantile:
-    """One streaming quantile estimate via the P² algorithm.
+def bucket_key(value: float) -> int:
+    """The histogram bucket of a non-negative ``value``; 0 for zero.
 
-    Parameters
-    ----------
-    q:
-        The quantile to track, in (0, 1) — e.g. ``0.99``.
-
-    Until five observations have arrived the estimate is exact (sorted
-    buffer); from the sixth on, the five markers are maintained
-    incrementally.  ``value()`` returns ``nan`` while empty.
+    Keys sort as the values do.
     """
+    if value <= 0.0:
+        return 0
+    mantissa, exponent = math.frexp(value)
+    return (exponent + _EXPONENT_BIAS) * SUB_BUCKETS + int(
+        (mantissa - 0.5) * 2 * SUB_BUCKETS
+    )
 
-    __slots__ = ("count", "q", "_heights", "_positions", "_desired")
 
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {q}")
-        self.q = float(q)
-        self.count = 0
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                         3.0 + 2.0 * q, 5.0]
+def _midpoint(key: int) -> float:
+    if key == 0:
+        return 0.0
+    exponent, sub = divmod(key, SUB_BUCKETS)
+    return math.ldexp(
+        0.5 + (sub + 0.5) / (2 * SUB_BUCKETS), exponent - _EXPONENT_BIAS
+    )
 
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            heights.append(value)
-            heights.sort()
-            return
 
-        # Locate the marker interval holding the new observation and
-        # widen the extremes when it falls outside them.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
+def inclusive_quantile(
+    ranked: Callable[[int], float], count: int, q: float
+) -> float:
+    """The linear ("inclusive") ``q``-quantile of ``count`` values.
 
-        positions = self._positions
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        # Desired positions advance by a constant per observation
-        # (d[i] = 1 + (n-1)·f[i] with fixed fractions f), so they are
-        # maintained incrementally instead of rebuilt each time.
-        q = self.q
-        desired = self._desired
-        desired[1] += q / 2.0
-        desired[2] += q
-        desired[3] += (1.0 + q) / 2.0
-        desired[4] += 1.0
-        for index in (1, 2, 3):
-            drift = desired[index] - positions[index]
-            right_gap = positions[index + 1] - positions[index]
-            left_gap = positions[index - 1] - positions[index]
-            if (drift >= 1.0 and right_gap > 1.0) or (
-                drift <= -1.0 and left_gap < -1.0
-            ):
-                step = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:
-                    heights[index] = self._linear(index, step)
-                positions[index] += step
+    ``ranked(i)`` returns the ``i``-th smallest value, from 0.  NaN
+    when ``count`` is 0.
+    """
+    if not count:
+        return math.nan
+    position = q * (count - 1)
+    lower = int(position)
+    low = ranked(lower)
+    high = ranked(min(lower + 1, count - 1))
+    # Exact when the neighbours are equal, unlike low·(1-f) + high·f.
+    return low + (high - low) * (position - lower)
 
-    def _parabolic(self, index: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        below = positions[index] - positions[index - 1]
-        above = positions[index + 1] - positions[index]
-        span = positions[index + 1] - positions[index - 1]
-        return heights[index] + step / span * (
-            (below + step)
-            * (heights[index + 1] - heights[index])
-            / above
-            + (above - step)
-            * (heights[index] - heights[index - 1])
-            / below
-        )
 
-    def _linear(self, index: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        other = index + int(step)
-        return heights[index] + step * (
-            heights[other] - heights[index]
-        ) / (positions[other] - positions[index])
+def histogram_quantiles(
+    buckets: dict[int, int], low: float, high: float
+) -> dict[str, float]:
+    """The :data:`QUANTILE_FIELDS` of the values counted in ``buckets``.
 
-    def value(self) -> float:
-        """The current estimate (exact below six observations)."""
-        count = self.count
-        if count == 0:
-            return float("nan")
-        heights = self._heights
-        if count <= 5:
-            # Exact: nearest-rank on the sorted buffer.
-            rank = max(0, min(count - 1, round(self.q * (count - 1))))
-            return heights[rank]
-        return heights[2]
+    Each ranked value reads as its bucket's midpoint clamped to
+    ``[low, high]``, the observed min and max, so a lone observation
+    reads back exactly and every quantile is within half a bucket of
+    the exact one.  NaN when the histogram is empty.
+    """
+    keys = sorted(buckets)
+    ends = list(itertools.accumulate(buckets[key] for key in keys))
+
+    def ranked(rank: int) -> float:
+        key = keys[bisect.bisect_right(ends, rank)]
+        return min(max(_midpoint(key), low), high)
+
+    count = ends[-1] if ends else 0
+    return {
+        field: inclusive_quantile(ranked, count, q)
+        for field, q in QUANTILE_FIELDS
+    }

@@ -2,7 +2,8 @@
 
 One :class:`Telemetry` instance per process aggregates three metric
 kinds — monotonic **counters**, last-value **gauges**, and streaming
-**timers** (count/sum/min/max plus P² p50/p90/p99) — and collects the
+**timers** (count/sum/min/max plus a log-bucket histogram that gives
+p50/p90/p99 and merges exactly across processes) — and collects the
 span-scoped structured events defined in
 :mod:`repro.telemetry.events`.  Producers (engine, executor, store,
 queue, worker) reach it through :func:`get_telemetry`, which returns
@@ -40,6 +41,11 @@ from pathlib import Path
 from repro._io import ProcessLocal
 from repro.reliability.durability import atomic_write
 from repro.telemetry.events import EVENT_SCHEMA_VERSION, encode_event
+from repro.telemetry.quantiles import (
+    QUANTILE_FIELDS,
+    bucket_key,
+    histogram_quantiles,
+)
 from repro.telemetry.tracing import current_trace_id
 
 __all__ = [
@@ -57,25 +63,26 @@ __all__ = [
 #: and directs every process's events file there.
 TELEMETRY_DIR_ENV = "REPRO_TELEMETRY_DIR"
 
-#: Quantiles every timer tracks.
-_TIMER_QUANTILES = (0.5, 0.9, 0.99)
-
 _instance_counter = itertools.count()
 
 
 class TimerStats:
-    """Streaming duration statistics: count/sum/min/max + P² quantiles."""
+    """Streaming duration statistics: count/sum/min/max and a histogram.
 
-    __slots__ = ("count", "total", "min", "max", "_quantiles")
+    ``buckets`` maps a :func:`~repro.telemetry.quantiles.bucket_key` to
+    its count; the snapshot's p50/p90/p99 come from it, and
+    :meth:`merge` adds another timer's counts, so merged timers give
+    the quantiles of their union.
+    """
+
+    __slots__ = ("count", "total", "min", "max", "buckets")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = 0.0
-        from repro.telemetry.quantiles import P2Quantile
-
-        self._quantiles = tuple(P2Quantile(q) for q in _TIMER_QUANTILES)
+        self.buckets: dict[int, int] = {}
 
     def observe(self, seconds: float) -> None:
         seconds = float(seconds)
@@ -85,8 +92,20 @@ class TimerStats:
             self.min = seconds
         if seconds > self.max:
             self.max = seconds
-        for quantile in self._quantiles:
-            quantile.observe(seconds)
+        key = bucket_key(seconds)
+        self.buckets[key] = self.buckets.get(key, 0) + 1
+
+    def merge(self, snapshot: dict) -> None:
+        """Fold in another timer's :meth:`snapshot`, bucket by bucket."""
+        count = snapshot.get("count", 0)
+        if not count:
+            return
+        self.count += count
+        self.total += snapshot.get("total_s", 0.0)
+        self.min = min(self.min, snapshot.get("min_s", 0.0))
+        self.max = max(self.max, snapshot.get("max_s", 0.0))
+        for key, observed in snapshot.get("buckets", ()):
+            self.buckets[key] = self.buckets.get(key, 0) + observed
 
     def snapshot(self) -> dict:
         """JSON-ready statistics of everything observed so far."""
@@ -97,8 +116,17 @@ class TimerStats:
             "min_s": self.min if self.count else 0.0,
             "max_s": self.max,
         }
-        for quantile in self._quantiles:
-            payload[f"p{int(round(quantile.q * 100))}_s"] = quantile.value()
+        # A snapshot written before timers kept buckets merges in
+        # without any: the union then has no quantiles.
+        if sum(self.buckets.values()) == self.count:
+            payload.update(
+                histogram_quantiles(self.buckets, self.min, self.max)
+            )
+        else:
+            payload.update((field, None) for field, _ in QUANTILE_FIELDS)
+        payload["buckets"] = [
+            [key, self.buckets[key]] for key in sorted(self.buckets)
+        ]
         return payload
 
 

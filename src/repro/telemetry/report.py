@@ -7,11 +7,13 @@ merges the trailing registry snapshots, and derives the cache-efficacy
 table the ISSUE asks for — candidate-cache hit rate, result-store hit
 rate, and the ring-log fast-path share.
 
-Merging notes: counters and gauge/timer count/total/min/max merge
-exactly across processes; P² quantile markers do not, so merged
-quantiles are the observation-count-weighted average of the per-process
-estimates — close enough for the few-percent band the human format
-rounds to, and flagged nowhere else.
+Merging notes: counters and timers merge exactly across processes.
+A timer's snapshot carries its log-bucket histogram, and merged timers
+add bucket counts, so their p50/p90/p99 are the inclusive quantiles of
+the union of every process's observations, to within half a bucket
+(:mod:`repro.telemetry.quantiles`).  Timers from snapshots written
+before histograms existed merge their count, total, min and max, with
+quantiles ``None``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.telemetry.events import read_events_dir
+from repro.telemetry.registry import TimerStats
 
 __all__ = [
     "aggregate_events",
@@ -35,25 +38,12 @@ PHASE_ORDER = (
     "log_push",
 )
 
-_QUANTILE_KEYS = ("p50_s", "p90_s", "p99_s")
 
-
-def _merge_timer(merged: dict, snapshot: dict) -> None:
-    count = snapshot.get("count", 0)
-    merged["count"] += count
-    merged["total_s"] += snapshot.get("total_s", 0.0)
-    merged["max_s"] = max(merged["max_s"], snapshot.get("max_s", 0.0))
-    if count:
-        if merged["_min_seen"]:
-            merged["min_s"] = min(merged["min_s"], snapshot.get("min_s", 0.0))
-        else:
-            merged["min_s"] = snapshot.get("min_s", 0.0)
-            merged["_min_seen"] = True
-        for key in _QUANTILE_KEYS:
-            value = snapshot.get(key)
-            if isinstance(value, (int, float)) and value == value:
-                merged["_q_sums"][key] += value * count
-                merged["_q_counts"][key] += count
+def _timer_row(timer: TimerStats) -> dict:
+    """A merged timer's report row: its snapshot without the buckets."""
+    row = timer.snapshot()
+    del row["buckets"]
+    return row
 
 
 def _rate(hits: float, misses: float) -> float | None:
@@ -78,7 +68,7 @@ def aggregate_events(events: list[dict]) -> dict:
     spans = {"run": 0, "cell": 0}
     counters: dict[str, float] = {}
     gauges: dict[str, float] = {}
-    timers: dict[str, dict] = {}
+    timers: dict[str, TimerStats] = {}
     processes: set[int] = set()
 
     for event in events:
@@ -100,26 +90,7 @@ def aggregate_events(events: list[dict]) -> dict:
             for name, value in attrs.get("gauges", {}).items():
                 gauges[name] = max(gauges.get(name, value), value)
             for name, snapshot in attrs.get("timers", {}).items():
-                merged = timers.get(name)
-                if merged is None:
-                    merged = timers[name] = {
-                        "count": 0,
-                        "total_s": 0.0,
-                        "min_s": 0.0,
-                        "max_s": 0.0,
-                        "_min_seen": False,
-                        "_q_sums": {key: 0.0 for key in _QUANTILE_KEYS},
-                        "_q_counts": {key: 0 for key in _QUANTILE_KEYS},
-                    }
-                _merge_timer(merged, snapshot)
-
-    for merged in timers.values():
-        count = merged["count"]
-        merged["mean_s"] = merged["total_s"] / count if count else 0.0
-        for key in _QUANTILE_KEYS:
-            weight = merged["_q_counts"][key]
-            merged[key] = merged["_q_sums"][key] / weight if weight else None
-        del merged["_min_seen"], merged["_q_sums"], merged["_q_counts"]
+                timers.setdefault(name, TimerStats()).merge(snapshot)
 
     phase_total = sum(phases.values())
     phase_rows = [
@@ -172,7 +143,9 @@ def aggregate_events(events: list[dict]) -> dict:
         "caches": caches,
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
-        "timers": dict(sorted(timers.items())),
+        "timers": {
+            name: _timer_row(timer) for name, timer in sorted(timers.items())
+        },
     }
 
 

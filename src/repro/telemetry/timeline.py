@@ -21,15 +21,16 @@ The reconstruction answers the three drain questions directly:
 * **who was the straggler** — the lane whose last ack ends the drain,
   with its job chain as the critical path.
 
-Per-phase latency is reported with count-weighted merged quantiles:
-each process's phase durations yield exact quantiles, merged across
-processes weighted by observation count — the same aggregation
-contract the registry's P² snapshot merge uses.
+Per-phase latency quantiles are exact: the inclusive quantiles of the
+union of every process's durations of that phase, the rule every
+telemetry surface follows (:mod:`repro.telemetry.quantiles`).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+from repro.telemetry.quantiles import QUANTILE_FIELDS, inclusive_quantile
 
 __all__ = ["drain_timeline", "format_timeline", "timeline_from_path"]
 
@@ -38,38 +39,20 @@ __all__ = ["drain_timeline", "format_timeline", "timeline_from_path"]
 _CORRELATED_KINDS = ("cell", "run", "phase")
 
 
-def _quantile(values: list[float], q: float) -> float:
-    """Exact linear-interpolation quantile of a sorted sample."""
-    if not values:
-        return 0.0
-    position = q * (len(values) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(values) - 1)
-    fraction = position - lower
-    return values[lower] * (1.0 - fraction) + values[upper] * fraction
-
-
-def _merged_phase_stats(
-    per_pid: dict[int, list[float]],
-) -> dict:
-    """Count-weighted quantile merge of one phase across processes."""
-    total = sum(sum(durations) for durations in per_pid.values())
-    count = sum(len(durations) for durations in per_pid.values())
-    merged = {
+def _phase_stats(durations: list[float]) -> dict:
+    """Count, total, mean, max and exact quantiles of one phase."""
+    total = sum(durations)
+    durations = sorted(durations)
+    count = len(durations)
+    stats = {
         "count": count,
         "total_s": total,
-        "mean_s": total / count if count else 0.0,
-        "max_s": max(
-            (max(d) for d in per_pid.values() if d), default=0.0
-        ),
+        "mean_s": total / count,
+        "max_s": durations[-1],
     }
-    for q, key in ((0.5, "p50_s"), (0.9, "p90_s"), (0.99, "p99_s")):
-        weighted = 0.0
-        for durations in per_pid.values():
-            if durations:
-                weighted += _quantile(sorted(durations), q) * len(durations)
-        merged[key] = weighted / count if count else 0.0
-    return merged
+    for field, q in QUANTILE_FIELDS:
+        stats[field] = inclusive_quantile(durations.__getitem__, count, q)
+    return stats
 
 
 def drain_timeline(events: list[dict]) -> dict:
@@ -79,7 +62,7 @@ def drain_timeline(events: list[dict]) -> dict:
     cells: dict[str, list[dict]] = {}
     runs: dict[str, int] = {}
     phase_spans: dict[str, int] = {}
-    phases: dict[str, dict[int, list[float]]] = {}
+    phases: dict[str, list[float]] = {}
     pids: set[int] = set()
     orphans = 0
     considered = 0
@@ -109,9 +92,7 @@ def drain_timeline(events: list[dict]) -> dict:
                 runs[trace] = runs.get(trace, 0) + 1
             else:
                 phase_spans[trace] = phase_spans.get(trace, 0) + 1
-                phases.setdefault(event["name"], {}).setdefault(
-                    event["pid"], []
-                ).append(event["dur_s"])
+                phases.setdefault(event["name"], []).append(event["dur_s"])
 
     # A correlated span whose trace no claim ever announced is as
     # orphaned as one with no trace at all.
@@ -220,8 +201,7 @@ def drain_timeline(events: list[dict]) -> dict:
         "jobs": jobs,
         "critical_path": critical,
         "phases": {
-            name: _merged_phase_stats(phases[name])
-            for name in sorted(phases)
+            name: _phase_stats(phases[name]) for name in sorted(phases)
         },
     }
 
@@ -297,7 +277,7 @@ def format_timeline(timeline: dict) -> str:
     if timeline["phases"]:
         lines += [
             "",
-            "  engine phases (count-weighted merged quantiles)",
+            "  engine phases (exact quantiles over every process)",
             "    phase                count    total     p50     p90"
             "     p99     max",
         ]

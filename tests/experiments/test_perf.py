@@ -15,7 +15,6 @@ from repro.experiments.perf import (
     compare_reports,
     format_report,
     load_report,
-    profile_run,
     run_perf,
     write_report,
 )
@@ -105,16 +104,6 @@ class TestRunPerf:
         monkeypatch.setattr(perf, "PERF_MATRIX", TINY_MATRIX)
         report = run_perf(quick=True, methods=("sqlb",), phases=False)
         assert "phases" not in report["cells"]["tiny_captive/sqlb"]
-
-    def test_profile_run_rejects_unknown_cell(self):
-        with pytest.raises(ValueError):
-            profile_run("no_such_cell")
-
-    def test_profile_run_reports_hot_functions(self, monkeypatch):
-        monkeypatch.setattr(perf, "PERF_MATRIX", TINY_MATRIX)
-        text = profile_run("tiny_captive", top=5)
-        assert "cumulative" in text
-        assert "_dispatch" in text
 
 
 class TestCompareReports:

@@ -15,9 +15,11 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from repro.analysis import figures
 from repro.analysis.figures import render_catalog
 from repro.audit.recorder import audit_session
 from repro.experiments.executor import ExperimentExecutor
@@ -160,6 +162,30 @@ def figure_export(tmp_path):
     return write, out
 
 
+def image_export(tmp_path):
+    store = tmp_path / "store"
+    executor = ExperimentExecutor(workers=1, store=ResultStore(store))
+    SweepRunner(executor).run_shard(SPEC)
+    out = tmp_path / "figures"
+
+    def write():
+        # matplotlib is optional: a stub renderer lets the image write
+        # path run without it.
+        with mock.patch.object(
+            figures, "matplotlib_available", return_value=True
+        ), mock.patch.object(
+            figures, "_render_matplotlib", return_value=b"<svg/>"
+        ):
+            report = render_catalog(
+                store, out, formats=("svg",), only=("response_time",)
+            )
+        assert [path.name for path in report.written] == [
+            "response_time.svg"
+        ]
+
+    return write, out
+
+
 def sweep_manifest(tmp_path):
     store = tmp_path / "store"
 
@@ -184,6 +210,7 @@ WRITERS: dict[str, Prepare] = {
     "audit-commit": audit_commit,
     "profile-dump": profile_dump,
     "figure-export": figure_export,
+    "image-export": image_export,
     "sweep-manifest": sweep_manifest,
     "queue-record": queue_record,
 }

@@ -22,29 +22,3 @@ class TestReputationRegistry:
             ReputationRegistry(0)
         with pytest.raises(ValueError):
             ReputationRegistry(2, initial=2.0)
-        with pytest.raises(ValueError):
-            ReputationRegistry(2, feedback_weight=1.5)
-
-    def test_rating_moves_reputation_towards_feedback(self):
-        registry = ReputationRegistry(1, initial=0.0, feedback_weight=0.5)
-        registry.rate(0, 1.0)
-        assert registry.values[0] == pytest.approx(0.5)
-        registry.rate(0, 1.0)
-        assert registry.values[0] == pytest.approx(0.75)
-
-    def test_zero_weight_freezes_registry(self):
-        registry = ReputationRegistry(1, initial=0.3, feedback_weight=0.0)
-        registry.rate(0, -1.0)
-        assert registry.values[0] == 0.3
-
-    def test_rate_many(self):
-        registry = ReputationRegistry(3, initial=0.0, feedback_weight=1.0)
-        registry.rate_many(np.array([0, 2]), np.array([1.0, -1.0]))
-        assert registry.values.tolist() == [1.0, 0.0, -1.0]
-
-    def test_rejects_out_of_range_ratings(self):
-        registry = ReputationRegistry(1, feedback_weight=0.5)
-        with pytest.raises(ValueError):
-            registry.rate(0, 1.5)
-        with pytest.raises(ValueError):
-            registry.rate_many(np.array([0]), np.array([-2.0]))

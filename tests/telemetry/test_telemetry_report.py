@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.reliability.durability import atomic_write
-from repro.telemetry.events import TelemetryReadError
+from repro.cli import main
+from repro.telemetry.events import (
+    EVENT_SCHEMA_VERSION,
+    TelemetryReadError,
+    encode_event,
+)
+from repro.telemetry.quantiles import SUB_BUCKETS
 from repro.telemetry.registry import Telemetry
 from repro.telemetry.report import (
     PHASE_ORDER,
@@ -90,10 +98,8 @@ class TestAggregation:
         assert timer["mean_s"] == pytest.approx(3.0)
         assert timer["min_s"] == 1.0
         assert timer["max_s"] == 5.0
-        # Merged quantiles are count-weighted averages of per-process
-        # estimates: the first process's exact p50 of [1.0, 3.0] is 1.0
-        # (nearest rank), the second's is 5.0 → (1.0 * 2 + 5.0) / 3.
-        assert timer["p50_s"] == pytest.approx(7.0 / 3.0)
+        # Merged buckets give the union's median, 3.0, within one bucket.
+        assert abs(timer["p50_s"] - 3.0) <= 3.0 / SUB_BUCKETS
 
     def test_run_and_cell_span_counts(self, tmp_path):
         telemetry = Telemetry(tmp_path)
@@ -104,6 +110,62 @@ class TestAggregation:
         report = telemetry_report(tmp_path)
         assert report["runs"] == 1
         assert report["cells"] == 1
+
+
+class TestOneQuantileRule:
+    """Report quantiles are those of the union of every process's
+    observations, never an average of per-process quantiles."""
+
+    def test_two_process_report_prints_the_union_median(
+        self, tmp_path, capsys
+    ):
+        for pid, job_times in ((101, (1.0, 3.0)), (202, (5.0,))):
+            telemetry = Telemetry(tmp_path)
+            telemetry.pid = pid
+            for seconds in job_times:
+                telemetry.observe("executor.job_s", seconds)
+            telemetry.flush()
+        assert main(["telemetry", "report", str(tmp_path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["processes"] == 2
+        timer = report["timers"]["executor.job_s"]
+        # Not the count-weighted mean of per-process medians, 2.33 s.
+        assert abs(timer["p50_s"] - 3.0) <= 3.0 / SUB_BUCKETS
+        assert sorted(timer) == [
+            "count", "max_s", "mean_s", "min_s", "p50_s", "p90_s", "p99_s",
+            "total_s",
+        ]
+
+    def test_snapshots_without_buckets_still_read(self, tmp_path):
+        # A timer snapshot as written before timers kept buckets.
+        older = {
+            "count": 2, "total_s": 4.0, "mean_s": 2.0, "min_s": 1.0,
+            "max_s": 3.0, "p50_s": 1.0, "p90_s": 3.0, "p99_s": 3.0,
+        }
+        event = {
+            "v": EVENT_SCHEMA_VERSION, "kind": "snapshot",
+            "name": "registry", "id": 0, "parent": None, "pid": 7,
+            "t_wall": 1.0, "dur_s": 0.0,
+            "attrs": {"counters": {}, "gauges": {},
+                      "timers": {"executor.job_s": older}},
+        }
+        atomic_write(
+            tmp_path / "events-older-7-0.jsonl",
+            (encode_event(event) + "\n").encode("utf-8"),
+        )
+        timer = telemetry_report(tmp_path)["timers"]["executor.job_s"]
+        assert timer == {
+            **older, "p50_s": None, "p90_s": None, "p99_s": None,
+        }
+        # Beside a current file the union still lacks two observations'
+        # buckets, so it has no quantiles either.
+        flush_process(
+            tmp_path, pid_counters={}, timer_obs=[("executor.job_s", 5.0)]
+        )
+        timer = telemetry_report(tmp_path)["timers"]["executor.job_s"]
+        assert (timer["count"], timer["min_s"], timer["max_s"]) == (3, 1.0, 5.0)
+        assert timer["total_s"] == pytest.approx(9.0)
+        assert timer["p50_s"] is None
 
 
 class TestRefusal:

@@ -147,14 +147,24 @@ class TestOrphansAndRetries:
 
 
 class TestMergedPhaseQuantiles:
-    def test_count_weighted_merge_across_pids(self):
+    def test_union_quantiles_across_pids(self):
         stats = drain_timeline(two_worker_drain())["phases"]["arrivals"]
         assert stats["count"] == 3
         assert stats["total_s"] == pytest.approx(6.0)
         assert stats["mean_s"] == pytest.approx(2.0)
         assert stats["max_s"] == pytest.approx(3.0)
-        # pid 11 p50 = 2.0 (weight 2), pid 22 p50 = 2.0 (weight 1).
+        # pid 11's [1.0, 3.0] and pid 22's [2.0]: the union's median.
         assert stats["p50_s"] == pytest.approx(2.0)
+
+    def test_p50_is_the_union_median_not_a_weighted_average(self):
+        events = [claim("A", "w1", TA, 100.0)] + [
+            ev("phase", "scoring", 101.0, pid=pid, dur=seconds, trace=TA)
+            for pid, seconds in ((11, 1.0), (11, 2.0), (11, 3.0), (22, 10.0))
+        ]
+        stats = drain_timeline(events)["phases"]["scoring"]
+        # The median of [1, 2, 3, 10], not the count-weighted mean of
+        # per-pid medians, (2.0 * 3 + 10.0) / 4 = 4.0.
+        assert stats["p50_s"] == 2.5
 
 
 class TestFormatting:
