@@ -17,6 +17,12 @@ class TestReputationRegistry:
         registry = ReputationRegistry(2, initial=np.array([0.1, -0.5]))
         assert registry.of(np.array([1])).tolist() == [-0.5]
 
+    def test_initial_array_is_copied(self):
+        initial = np.array([0.1, 0.2])
+        registry = ReputationRegistry(2, initial=initial)
+        initial[0] = 0.9
+        assert registry.values.tolist() == [0.1, 0.2]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ReputationRegistry(0)

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.executor import ExperimentExecutor, SimulationJob
 from repro.simulation.config import scaled_config
 from repro.telemetry import profiling
@@ -118,6 +119,25 @@ class TestExecutorIntegration:
         assert _fingerprint(profiled) == _fingerprint(plain)
         monkeypatch.delenv(PROFILE_DIR_ENV)
         profiling._switch.reset()
+
+
+class TestHotspotsCommand:
+    """``repro telemetry hotspots``: the cumulative table of a run."""
+
+    def test_lists_the_mediator_dispatch(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
+        executor = ExperimentExecutor(workers=1, store=None)
+        config = scaled_config(duration=30.0)
+        executor.run([SimulationJob(config=config, method="sqlb", seed=1)])
+        argv = ["telemetry", "hotspots", str(tmp_path), "--top", "5"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "cumulative" in text
+        assert "_dispatch" in text
+
+    def test_dir_without_dumps_is_an_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="repro: error"):
+            main(["telemetry", "hotspots", str(tmp_path)])
 
 
 class TestEnvCleanupGuard:

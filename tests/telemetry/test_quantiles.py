@@ -7,7 +7,9 @@ bucket, and timers split across processes merge to the whole.
 
 from __future__ import annotations
 
+import json
 import math
+import random
 import statistics
 
 import pytest
@@ -130,3 +132,29 @@ class TestHistogramQuantiles:
         assert snapshot["buckets"] == []
         for field, _ in QUANTILE_FIELDS:
             assert math.isnan(snapshot[field])
+
+
+class TestLongStreams:
+    """A run's timer sees thousands of observations, not hundreds."""
+
+    @pytest.mark.parametrize("field, q", QUANTILE_FIELDS)
+    def test_lognormal_stream(self, field, q):
+        rng = random.Random(42)
+        values = [rng.lognormvariate(-5.0, 1.0) for _ in range(20_000)]
+        snapshot = timer_of(values).snapshot()
+        exact = inclusive_quantile(sorted(values).__getitem__, len(values), q)
+        assert abs(snapshot[field] - exact) <= exact / SUB_BUCKETS
+
+    def test_count_tracks_observations(self):
+        snapshot = timer_of(float(value) for value in range(17)).snapshot()
+        assert snapshot["count"] == 17
+        assert sum(count for _, count in snapshot["buckets"]) == 17
+
+    def test_snapshot_survives_a_json_round_trip(self):
+        """Events files are JSON: bucket keys must come back as ints."""
+        rng = random.Random(7)
+        timer = timer_of(rng.expovariate(1.0) for _ in range(1_000))
+        merged = TimerStats()
+        merged.merge(json.loads(json.dumps(timer.snapshot())))
+        assert merged.buckets == timer.buckets
+        assert merged.snapshot() == timer.snapshot()
