@@ -4,7 +4,9 @@
   first use in each process.  Telemetry, the decision audit,
   failpoints, durable writes and profiling are all such switches.
 * :func:`crash_litter` — what a writer killed at the wrong instant
-  leaves behind, declared once for ``queue gc`` and ``queue fsck``.
+  leaves behind, declared once for ``queue gc``, ``queue fsck`` and
+  ``store verify``; every caller judges its ages against
+  :func:`filesystem_now`, the clock that stamps the files' mtimes.
 
 Importing nothing but the standard library, this module may be
 imported from anywhere, the engine's hot path included.  The one
@@ -16,12 +18,18 @@ from __future__ import annotations
 
 import os
 import stat
+import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Generic, TypeVar
 
-__all__ = ["DEFAULT_TEMP_AGE", "ProcessLocal", "crash_litter"]
+__all__ = [
+    "DEFAULT_TEMP_AGE",
+    "ProcessLocal",
+    "crash_litter",
+    "filesystem_now",
+]
 
 T = TypeVar("T")
 
@@ -108,11 +116,12 @@ def crash_litter(
     seconds old or older against ``now``.
 
     Younger footprints may belong to a live writer and are left out;
-    so are subdirectories and missing directories.  ``now`` should come
-    from the same clock that stamps the files' mtimes (the queue's
-    ``filesystem_now``), so a skewed host neither flags a live writer's
-    fresh temp nor overlooks a long-dead one's.  Paths are returned in
-    directory order, sorted by name within each directory.
+    so are subdirectories and missing directories.  ``now`` must come
+    from the clock that stamps the files' mtimes
+    (:func:`filesystem_now`), never the local one, so a skewed host
+    neither flags a live writer's fresh temp nor overlooks a long-dead
+    one's.  Paths are returned in directory order, sorted by name
+    within each directory.
     """
     litter: list[Path] = []
     for directory in map(Path, directories):
@@ -130,3 +139,25 @@ def crash_litter(
             ):
                 litter.append(path)
     return litter
+
+
+def filesystem_now(directory: Path | str) -> float:
+    """The filesystem's idea of "now" under ``directory``.
+
+    Writes a scratch file there and reads back its mtime: on NFS that
+    timestamp comes from the file *server*, so every box probing it
+    sees one clock whatever its local skew, and it is the clock that
+    stamps every other file's mtime.  The scratch name is dot-prefixed,
+    so queue scans ignore it and, if a crash leaks one,
+    :func:`crash_litter` declares it.
+    """
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".clockprobe.")
+    try:
+        os.fsync(fd)  # force the server-side timestamp (portable)
+        return os.fstat(fd).st_mtime
+    finally:
+        os.close(fd)
+        try:
+            os.unlink(tmp)
+        except OSError:  # pragma: no cover - already gone
+            pass

@@ -34,9 +34,11 @@ Subcommands::
         per-scenario adaptive seeding: seeds are added in batches until
         the 95 % CI half-width of ``--ci-metric`` (default: post-warmup
         response time) falls under ``--ci-threshold`` (capped at
-        ``--max-seeds``).  ``work --expiry-clock mtime`` judges lease
-        expiry by heartbeat-file mtimes against the shared filesystem's
-        clock (skew-immune; no NTP requirement).  ``retry`` requeues
+        ``--max-seeds``).  ``init --expiry-clock mtime`` records that
+        lease expiry is judged by heartbeat-file mtimes against the
+        shared filesystem's clock (skew-immune; no NTP requirement), and
+        ``init --max-attempts`` the per-job attempts budget; every
+        process that opens the queue reads both.  ``retry`` requeues
         error-parked jobs with a fresh attempts budget; ``gc`` lists
         orphaned atomic-write temp files and stale heartbeats
         (``--prune`` removes them).  ``fsck`` audits the queue
@@ -105,7 +107,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from repro._io import DEFAULT_TEMP_AGE, crash_litter
+from repro._io import DEFAULT_TEMP_AGE
 from repro.allocation.registry import PAPER_METHODS, available_methods
 from repro.analysis import (
     DEFAULT_COMPARE_METRICS,
@@ -181,6 +183,7 @@ from repro.scheduler import (
     queue_top,
     spawn_cli_worker,
 )
+from repro.scheduler.queue import DEFAULT_MAX_ATTEMPTS
 from repro.telemetry import (
     PROFILE_DIR_ENV,
     TELEMETRY_DIR_ENV,
@@ -518,6 +521,23 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default response_time_post_warmup; available: "
         f"{', '.join(available_metrics())})",
     )
+    queue_init.add_argument(
+        "--expiry-clock",
+        choices=EXPIRY_CLOCKS,
+        default="wall",
+        help="how every process judges lease expiry: 'wall' compares "
+        "recorded deadlines against its own clock (multi-box fleets "
+        "need NTP); 'mtime' derives deadlines from heartbeat-file "
+        "mtimes and 'now' from the shared filesystem's clock "
+        "(skew-immune)",
+    )
+    queue_init.add_argument(
+        "--max-attempts",
+        type=positive_int,
+        default=DEFAULT_MAX_ATTEMPTS,
+        help="attempts per job before it is parked as an error record "
+        f"instead of retried (default {DEFAULT_MAX_ATTEMPTS})",
+    )
 
     queue_work = queue_sub.add_parser(
         "work", help="run one worker daemon until the queue drains"
@@ -555,22 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep polling after the queue drains (standing daemon)",
     )
     queue_work.add_argument(
-        "--max-attempts",
-        type=positive_int,
-        default=3,
-        help="attempts per job before it is parked as an error record "
-        "instead of retried (default 3)",
-    )
-    queue_work.add_argument(
-        "--expiry-clock",
-        choices=EXPIRY_CLOCKS,
-        default="wall",
-        help="how lease expiry is judged: 'wall' compares recorded "
-        "deadlines against this box's clock (multi-box fleets need "
-        "NTP); 'mtime' derives deadlines from heartbeat-file mtimes "
-        "and 'now' from the shared filesystem's clock (skew-immune)",
-    )
-    queue_work.add_argument(
         "--profile",
         default=None,
         metavar="DIR",
@@ -588,15 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the machine-readable status payload",
-    )
-    queue_status_cmd.add_argument(
-        "--expiry-clock",
-        choices=EXPIRY_CLOCKS,
-        default="wall",
-        help="judge worker liveness under this clock; pass the same "
-        "value the fleet's workers use so status and scavengers agree "
-        "(mtime: heartbeat-file mtimes vs. the shared filesystem's "
-        "clock, skew-immune)",
     )
 
     queue_top_cmd = queue_sub.add_parser(
@@ -620,13 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the machine-readable frame (implies --once)",
-    )
-    queue_top_cmd.add_argument(
-        "--expiry-clock",
-        choices=EXPIRY_CLOCKS,
-        default="wall",
-        help="judge worker liveness under this clock (match the "
-        "fleet's workers)",
     )
 
     queue_report_cmd = queue_sub.add_parser(
@@ -728,13 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 3600; younger ones may belong to a live writer)",
     )
     queue_fsck.add_argument(
-        "--max-attempts",
-        type=positive_int,
-        default=3,
-        help="attempts budget used when requeueing uncovered leases "
-        "(default 3)",
-    )
-    queue_fsck.add_argument(
         "--json",
         action="store_true",
         help="emit the machine-readable fsck report",
@@ -781,18 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_float,
         default=60.0,
         help="lease TTL passed to each worker (default 60)",
-    )
-    queue_fleet.add_argument(
-        "--max-attempts",
-        type=positive_int,
-        default=3,
-        help="per-job attempts budget passed to each worker (default 3)",
-    )
-    queue_fleet.add_argument(
-        "--expiry-clock",
-        choices=EXPIRY_CLOCKS,
-        default="wall",
-        help="expiry clock passed to each worker",
     )
     queue_fleet.add_argument(
         "--profile",
@@ -1562,7 +1531,13 @@ def _cmd_queue_init(args: argparse.Namespace) -> str:
                 "adaptive seeding could never add one"
             )
     try:
-        queue = WorkQueue.init(args.queue_dir, spec, adaptive=adaptive)
+        queue = WorkQueue.init(
+            args.queue_dir,
+            spec,
+            adaptive=adaptive,
+            expiry_clock=args.expiry_clock,
+            max_attempts=args.max_attempts,
+        )
     except FileExistsError as error:
         raise SystemExit(f"repro: error: {error}") from None
     counts = queue.counts()
@@ -1571,6 +1546,8 @@ def _cmd_queue_init(args: argparse.Namespace) -> str:
         f"sweep: {spec.name}   spec: {spec.spec_hash()}   "
         f"scale: {spec.scale}",
         f"jobs enqueued: {counts.pending}",
+        f"expiry clock: {queue.clock}   attempts per job: "
+        f"{queue.max_attempts}",
     ]
     if adaptive is not None:
         lines.append(
@@ -1586,12 +1563,8 @@ def _cmd_queue_init(args: argparse.Namespace) -> str:
 
 
 def _open_queue(args: argparse.Namespace) -> WorkQueue:
-    # Commands without an --expiry-clock flag open under the default
-    # wall clock; those with one (work, status) get a handle whose
-    # heartbeat/liveness/scavenging judgements all share that clock.
-    clock = getattr(args, "expiry_clock", "wall")
     try:
-        return WorkQueue(args.queue_dir, clock=clock)
+        return WorkQueue(args.queue_dir)
     except (FileNotFoundError, ValueError) as error:
         raise SystemExit(f"repro: error: {error}") from None
 
@@ -1615,8 +1588,6 @@ def _cmd_queue_work(args: argparse.Namespace) -> str:
         poll_interval=args.poll,
         max_jobs=args.max_jobs,
         wait=args.wait,
-        max_attempts=args.max_attempts,
-        expiry_clock=args.expiry_clock,
     )
     report = worker.run(install_signal_handlers=True)
     lines = [
@@ -1821,7 +1792,6 @@ def _cmd_queue_fsck(args: argparse.Namespace) -> str:
         store=store,
         repair=args.repair,
         temp_age=args.temp_age,
-        max_attempts=args.max_attempts,
         audit_root=getattr(args, "audit", None),
     )
     if args.json:
@@ -1877,14 +1847,7 @@ def _cmd_queue_fleet(args: argparse.Namespace) -> str:
     cache_dir = _require_cache_dir(args, "queue fleet")
     queue = _open_queue(args)  # fail fast before spawning anything
     prefix = args.owner_prefix or f"fleet-{os.getpid()}"
-    worker_args = (
-        "--ttl",
-        str(args.ttl),
-        "--max-attempts",
-        str(args.max_attempts),
-        "--expiry-clock",
-        args.expiry_clock,
-    )
+    worker_args = ("--ttl", str(args.ttl))
     telemetry_dir = getattr(args, "telemetry", None)
     if telemetry_dir is not None:
         worker_args += ("--telemetry", str(telemetry_dir))
@@ -1970,32 +1933,17 @@ def _cmd_store(args: argparse.Namespace) -> str:
         )
     cache_dir = _require_cache_dir(args, "store verify")
     store = ResultStore(cache_dir)
-    found = store.verify(deep=not args.shallow)
-    # An orphan payload is judged by the crash-litter rule, as
-    # prune_invalid and queue fsck judge it: one younger than the gate
-    # is a live put between its two writes, listed but left alone, and
-    # no reason to call the store unclean.
-    now = time.time()
-    aged = {
-        path.stem
-        for path in crash_litter([store.root], now, DEFAULT_TEMP_AGE)
-        if path.suffix == ".npz"
-    }
-    in_flight = tuple(key for key in found.orphan_npz if key not in aged)
-    report = dataclasses.replace(
-        found,
-        orphan_npz=tuple(key for key in found.orphan_npz if key in aged),
-    )
+    report = store.verify(deep=not args.shallow)
     pruned = 0
     if args.prune and not report.clean:
-        pruned = store.prune_invalid(report, now=now)
+        pruned = store.prune_invalid(report)
     if args.json:
         output = json.dumps(
             {
                 "clean": report.clean,
                 "entries": report.entries,
                 "orphan_npz": list(report.orphan_npz),
-                "orphan_npz_in_flight": list(in_flight),
+                "orphan_npz_in_flight": list(report.orphan_npz_in_flight),
                 "orphan_json": list(report.orphan_json),
                 "unreadable": list(report.unreadable),
                 "pruned_files": pruned,
@@ -2013,7 +1961,7 @@ def _cmd_store(args: argparse.Namespace) -> str:
             (
                 f"orphan npz younger than {DEFAULT_TEMP_AGE:.0f} s "
                 "(a put in flight, left alone)",
-                in_flight,
+                report.orphan_npz_in_flight,
             ),
             ("orphan npz (interrupted put)", report.orphan_npz),
             ("orphan json (write order violated)", report.orphan_json),

@@ -43,14 +43,13 @@ import hashlib
 import io
 import json
 import math
-import time
 import zipfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from repro._io import DEFAULT_TEMP_AGE, crash_litter
+from repro._io import DEFAULT_TEMP_AGE, crash_litter, filesystem_now
 from repro.reliability.durability import atomic_write
 from repro.simulation.config import SimulationConfig
 from repro.simulation.departures import DepartureRecord
@@ -219,7 +218,10 @@ class StoreVerifyReport:
 
     ``orphan_npz`` are keys whose ``.npz`` half exists without its
     ``.json`` — an interrupted ``put`` (the json is written last, so
-    it is the commit marker; the entry was never visible).
+    it is the commit marker; the entry was never visible) — and is
+    crash litter, old enough that no live ``put`` can still commit it.
+    ``orphan_npz_in_flight`` are the younger ones: a live ``put``
+    between its two writes, listed but not unclean and never pruned.
     ``orphan_json`` are the reverse — a json without its npz, which
     should be impossible under the documented write order and means
     the payload was deleted or the order was violated.  ``unreadable``
@@ -233,6 +235,7 @@ class StoreVerifyReport:
     orphan_npz: tuple[str, ...]
     orphan_json: tuple[str, ...]
     unreadable: tuple[str, ...]
+    orphan_npz_in_flight: tuple[str, ...] = ()
 
     @property
     def clean(self) -> bool:
@@ -318,7 +321,12 @@ class ResultStore:
             path.unlink(missing_ok=True)
         return removed
 
-    def verify(self, deep: bool = True) -> StoreVerifyReport:
+    def verify(
+        self,
+        deep: bool = True,
+        now: float | None = None,
+        temp_age: float = DEFAULT_TEMP_AGE,
+    ) -> StoreVerifyReport:
         """Audit the on-disk state against the write-order contract.
 
         Pairs top-level ``<key>.json`` / ``<key>.npz`` halves by stem
@@ -328,6 +336,13 @@ class ResultStore:
         the only way to catch a power-loss torn file that kept its
         committed name — so ``unreadable`` is exactly the committed
         pairs ``get`` misses on.
+
+        An orphan payload is split by the crash-litter rule: at least
+        ``temp_age`` seconds old against ``now`` it is ``orphan_npz``,
+        younger it is ``orphan_npz_in_flight``.  ``now`` defaults to
+        the store filesystem's clock
+        (:func:`repro._io.filesystem_now`), probed only when there is
+        an orphan payload to judge.
         """
         if not self.root.is_dir():
             return StoreVerifyReport(
@@ -341,36 +356,37 @@ class ResultStore:
             for key in sorted(paired)
             if deep and self._load(key, None) is None
         )
+        orphans = npz_keys - json_keys
+        aged: set[str] = set()
+        if orphans:
+            now = filesystem_now(self.root) if now is None else now
+            aged = orphans & {
+                path.stem
+                for path in crash_litter([self.root], now, temp_age)
+                if path.suffix == ".npz"
+            }
         return StoreVerifyReport(
             entries=len(paired),
-            orphan_npz=tuple(sorted(npz_keys - json_keys)),
+            orphan_npz=tuple(sorted(aged)),
             orphan_json=tuple(sorted(json_keys - npz_keys)),
             unreadable=unreadable,
+            orphan_npz_in_flight=tuple(sorted(orphans - aged)),
         )
 
-    def prune_invalid(
-        self,
-        report: StoreVerifyReport | None = None,
-        now: float | None = None,
-        temp_age: float = DEFAULT_TEMP_AGE,
-    ) -> int:
+    def prune_invalid(self, report: StoreVerifyReport | None = None) -> int:
         """Delete every entry ``verify`` condemned; returns files removed.
 
         Safe by construction: orphan halves and unreadable pairs can
         never be served as hits, so removing them only reclaims space
-        and silences fsck.  An orphan ``.npz`` is judged by the
-        crash-litter rule, though: one younger than ``temp_age`` seconds
-        against ``now`` (the local clock by default) is a live ``put``'s
-        first half, and stays.
+        and silences fsck.  A payload the report holds in flight is a
+        live ``put``'s first half, and stays.
         """
         if report is None:
             report = self.verify(deep=True)
-        now = time.time() if now is None else now
         removed = 0
-        for path in crash_litter([self.root], now, temp_age):
-            if path.suffix == ".npz" and path.stem in report.orphan_npz:
-                path.unlink(missing_ok=True)
-                removed += 1
+        for key in report.orphan_npz:
+            self._npz_path(key).unlink(missing_ok=True)
+            removed += 1
         for key in report.orphan_json:
             self._json_path(key).unlink(missing_ok=True)
             removed += 1

@@ -37,7 +37,6 @@ from repro.scheduler.queue import (
     _live_entries,
     _read_json,
     _write_json,
-    DEFAULT_MAX_ATTEMPTS,
     WorkQueue,
 )
 
@@ -94,16 +93,19 @@ def fsck_queue(
     repair: bool = False,
     now: float | None = None,
     temp_age: float = DEFAULT_TEMP_AGE,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     audit_root: Path | str | None = None,
 ) -> FsckReport:
     """Check ``queue`` (and optionally ``store``) against the protocol
     invariants; with ``repair`` apply the protocol-defined self-repairs.
 
-    ``now`` overrides the queue's clock (tests); ``temp_age`` gates how
-    old crash litter must be before it counts — younger litter may
-    belong to a live writer, so a pass over an actively draining (or
-    chaos-injected) queue stays clean.
+    Liveness (check 8) is judged under the queue's recorded expiry
+    clock, and repairs spend its recorded attempts budget; ``now``
+    overrides that clock (tests).  ``temp_age`` gates how old crash
+    litter must be before it counts — younger litter may belong to a
+    live writer, so a pass over an actively draining (or
+    chaos-injected) queue stays clean.  Litter ages (checks 11–12) are
+    judged against the filesystem's clock, which stamps the mtimes,
+    never against ``now``.
 
     Checks, in evaluation order (earlier repairs can obviate later
     findings — e.g. a lease discarded under done-wins is no longer an
@@ -142,10 +144,10 @@ def fsck_queue(
         is left to 12.
     12. **store orphans / unreadable entries** — via
         :meth:`ResultStore.verify`; prune (none can serve as a hit).
-        An orphan payload counts once it is litter, ``temp_age`` old
-        (a younger one is a live ``put``'s first half); the rest count
-        at any age.  Each finding is reported once, under the same kind
-        with and without ``repair``.
+        An orphan payload counts once it is ``temp_age`` old (a younger
+        one is a live ``put``'s first half, which ``verify`` reports as
+        in flight); the rest count at any age.  Each finding is
+        reported once, under the same kind with and without ``repair``.
     """
     now = queue.now() if now is None else now
     violations: list[Violation] = []
@@ -348,7 +350,6 @@ def fsck_queue(
                     owner,
                     f"fsck: lease not covered by a live heartbeat "
                     f"(owner {owner})",
-                    max_attempts,
                 )
                 fixed = outcome in ("requeued", "error", "gone")
             note(
@@ -415,15 +416,15 @@ def fsck_queue(
         directories.append(store.root)
     if audit_root is not None:
         directories.append(Path(audit_root))
-    aged_payloads = set()
-    for path in crash_litter(directories, now, temp_age):
+    for path in crash_litter(
+        directories, queue.filesystem_now(), temp_age
+    ):
         if (
             store is not None
             and path.parent == store.root
             and path.suffix == ".npz"
         ):
-            aged_payloads.add(path.stem)  # check 12 reports it
-            continue
+            continue  # check 12 reports it
         fixed = False
         if repair:
             path.unlink(missing_ok=True)
@@ -439,15 +440,11 @@ def fsck_queue(
     # -- 12: the store's halves must pair and parse -------------------
     store_entries = 0
     if store is not None:
-        found = store.verify(deep=True)
-        aged_orphans = aged_payloads.intersection(found.orphan_npz)
-        store_report = dataclasses.replace(
-            found, orphan_npz=tuple(sorted(aged_orphans))
-        )
+        store_report = store.verify(deep=True, temp_age=temp_age)
         store_entries = store_report.entries
         store_fixed = False
         if repair and not store_report.clean:
-            store.prune_invalid(store_report, now=now, temp_age=temp_age)
+            store.prune_invalid(store_report)
             store_fixed = True
         for key in store_report.orphan_npz:
             note(

@@ -132,7 +132,8 @@ def queue_status(
     from the ETA's live-worker count, never silently dropped from the
     listing.  ``eta_seconds`` extrapolates the mean completed-job
     duration over the outstanding work and the number of live workers
-    (``None`` until at least one job has finished).  Pass
+    (``None`` until at least one job has finished).  ``expiry_clock``
+    and ``max_attempts`` are the settings ``queue.json`` records.  Pass
     ``store_root`` to append the store's manifest rows (shard and
     worker manifests alike).
     """
@@ -144,9 +145,9 @@ def queue_status(
     live_workers = 0
     for heartbeat in queue.heartbeats():
         owner = heartbeat.get("owner", "?")
-        # Judge liveness by the clock the queue handle was opened with:
-        # an mtime queue measures heartbeat-file mtimes against the
-        # shared filesystem's clock, so a skewed observer box doesn't
+        # Judge liveness by the queue's recorded clock: an mtime queue
+        # measures heartbeat-file mtimes against the shared
+        # filesystem's clock, so a skewed observer box doesn't
         # misreport a live fleet as dead (or vice versa).
         deadline = queue.heartbeat_deadline(owner)
         alive = deadline >= now
@@ -193,6 +194,8 @@ def queue_status(
         "spec_hash": queue.spec_hash,
         "scale": queue.spec.scale,
         "engine_version": ENGINE_VERSION,
+        "expiry_clock": queue.clock,
+        "max_attempts": queue.max_attempts,
         "counts": {
             "jobs": counts.jobs,
             "pending": counts.pending,

@@ -13,7 +13,8 @@ the platform already makes atomic:
 
 Layout under the queue root::
 
-    queue.json            immutable queue description (spec, adaptive)
+    queue.json            immutable queue description (spec, adaptive,
+                          expiry clock, attempts budget)
     jobs/<id>.json        immutable job records (scenario, method, seed)
     pending/<id>          claim tickets; present ⇔ job is up for grabs
     leases/<id>@<owner>   a claimed ticket, renamed here by the winner
@@ -52,11 +53,10 @@ import dataclasses
 import json
 import os
 import re
-import tempfile
 import time
 from pathlib import Path
 
-from repro._io import DEFAULT_TEMP_AGE, crash_litter
+from repro._io import DEFAULT_TEMP_AGE, crash_litter, filesystem_now
 from repro.experiments.store import cache_key
 from repro.reliability.durability import atomic_write
 from repro.reliability.failpoints import failpoint
@@ -81,18 +81,20 @@ __all__ = [
 #: Bump when the on-disk queue layout changes incompatibly.
 QUEUE_FORMAT = 1
 
-#: How lease expiry derives "now" and the deadline.  ``wall`` compares
-#: the heartbeat's recorded absolute deadline against the scavenger's
-#: wall clock (multi-box queues need NTP).  ``mtime`` is skew-immune:
-#: the deadline is the heartbeat *file's* mtime plus the recorded TTL,
-#: and "now" is the shared filesystem's own clock (probed by writing a
-#: scratch file) — one clock, the file server's, no matter how many
-#: boxes share the queue.
+#: How lease expiry derives "now" and the deadline, recorded in
+#: ``queue.json`` at init (default ``wall``).  ``wall`` compares the
+#: heartbeat's recorded absolute deadline against the scavenger's wall
+#: clock (multi-box queues need NTP).  ``mtime`` is skew-immune: the
+#: deadline is the heartbeat *file's* mtime plus the recorded TTL, and
+#: "now" is the shared filesystem's own clock
+#: (:func:`repro._io.filesystem_now`) — one clock, the file server's,
+#: no matter how many boxes share the queue.
 EXPIRY_CLOCKS = ("wall", "mtime")
 
 #: How many times a job may be attempted (claims after requeues and
 #: failures) before it is parked as a ``done/`` error record instead of
 #: being retried — a poison job must not crash-loop the fleet forever.
+#: Recorded in ``queue.json`` at init; this is the default.
 DEFAULT_MAX_ATTEMPTS = 3
 
 #: Separates the job id from the owner id in lease file names; both
@@ -251,6 +253,27 @@ def _read_json(path: Path) -> dict | None:
     return payload if isinstance(payload, dict) else None
 
 
+def _settings(root: Path, payload: dict) -> tuple[str, int]:
+    """The expiry clock and attempts budget a ``queue.json`` records.
+
+    A queue initialised before the two were recorded reads as the
+    defaults, the values every process then assumed.
+    """
+    clock = payload.get("expiry_clock", "wall")
+    if clock not in EXPIRY_CLOCKS:
+        raise ValueError(
+            f"queue {root}: unknown expiry clock {clock!r}; "
+            f"available: {', '.join(EXPIRY_CLOCKS)}"
+        )
+    max_attempts = payload.get("max_attempts", DEFAULT_MAX_ATTEMPTS)
+    if type(max_attempts) is not int or max_attempts < 1:
+        raise ValueError(
+            f"queue {root}: max_attempts {max_attempts!r} is not an "
+            "integer >= 1"
+        )
+    return clock, max_attempts
+
+
 def _write_json(
     path: Path, payload: dict, exclusive: bool = False
 ) -> bool:
@@ -268,25 +291,18 @@ class WorkQueue:
     Open an existing queue with ``WorkQueue(root)``; create one with
     :meth:`WorkQueue.init`.  All mutating operations are safe to run
     concurrently from any number of processes sharing the directory.
+
+    Every handle reads the queue's expiry clock (:attr:`clock`) and
+    attempts budget (:attr:`max_attempts`) from ``queue.json``, so the
+    workers, scavengers, status readers and fsck of one queue judge
+    liveness and retries alike.
     """
 
     def __init__(
         self,
         root: Path | str,
-        clock: str = "wall",
         _allow_unready: bool = False,
     ) -> None:
-        if clock not in EXPIRY_CLOCKS:
-            raise ValueError(
-                f"unknown expiry clock {clock!r}; "
-                f"available: {', '.join(EXPIRY_CLOCKS)}"
-            )
-        #: The clock this handle judges liveness with.  Everything that
-        #: derives "now" or a heartbeat deadline without an explicit
-        #: argument (heartbeat, claim, requeue_expired, status readers)
-        #: consults this — a queue opened with ``--expiry-clock mtime``
-        #: must never silently fall back to the local wall clock.
-        self.clock = clock
         self.root = Path(root)
         payload = _read_json(self._queue_file)
         if payload is None:
@@ -307,6 +323,7 @@ class WorkQueue:
                 "(init crashed mid-enqueue?); delete the directory and "
                 "re-run 'repro queue init'"
             )
+        self.clock, self.max_attempts = _settings(self.root, payload)
         self._payload = payload
         self._spec = SweepSpec(**payload["spec"])
         self._configs: dict[str, SimulationConfig] | None = None
@@ -322,12 +339,17 @@ class WorkQueue:
         root: Path | str,
         spec: SweepSpec,
         adaptive: dict | None = None,
+        expiry_clock: str = "wall",
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> "WorkQueue":
         """Create a queue directory and enqueue the spec's full grid.
 
         ``adaptive`` is the optional payload of an
         :class:`~repro.scheduler.adaptive.AdaptiveConfig`; it is stored
         verbatim so every worker derives the same controller.
+        ``expiry_clock`` (one of :data:`EXPIRY_CLOCKS`) and
+        ``max_attempts`` are recorded beside it, once for every process
+        that will open the queue.
         """
         root = Path(root)
         queue_file = root / "queue.json"
@@ -336,9 +358,6 @@ class WorkQueue:
                 f"queue already initialised at {root}; "
                 "point init at a fresh directory"
             )
-        root.mkdir(parents=True, exist_ok=True)
-        for name in ("jobs", "pending", "leases", "done", "heartbeats"):
-            (root / name).mkdir(exist_ok=True)
         payload = {
             "format": QUEUE_FORMAT,
             "name": spec.name,
@@ -346,8 +365,14 @@ class WorkQueue:
             "spec_hash": spec.spec_hash(),
             "engine_version": ENGINE_VERSION,
             "adaptive": adaptive,
+            "expiry_clock": expiry_clock,
+            "max_attempts": max_attempts,
             "ready": False,
         }
+        _settings(root, payload)  # refuse before writing anything
+        root.mkdir(parents=True, exist_ok=True)
+        for name in ("jobs", "pending", "leases", "done", "heartbeats"):
+            (root / name).mkdir(exist_ok=True)
         _write_json(queue_file, payload)
         queue = cls(root, _allow_unready=True)
         queue.enqueue(spec.expand())
@@ -505,7 +530,7 @@ class WorkQueue:
     # -- leasing ------------------------------------------------------
 
     def now(self) -> float:
-        """"Now" under this queue's configured expiry clock.
+        """"Now" under this queue's recorded expiry clock.
 
         The filesystem's clock for ``mtime`` queues (cached probe), the
         local wall clock otherwise.
@@ -521,10 +546,9 @@ class WorkQueue:
     ) -> None:
         """Publish/renew ``owner``'s liveness deadline (now + ttl).
 
-        ``now`` defaults to :meth:`now` — the configured expiry clock —
-        so the recorded absolute deadline is consistent with how an
-        ``mtime`` fleet's scavengers will judge it even if one of them
-        falls back to the wall path.
+        ``now`` defaults to :meth:`now`, the queue's expiry clock, so
+        the recorded absolute deadline is on the clock its scavengers
+        judge it by.
         """
         now = self.now() if now is None else now
         # Record the sanitised owner: it's the form the lease filenames
@@ -557,11 +581,7 @@ class WorkQueue:
         ).unlink(missing_ok=True)
 
     def claim(
-        self,
-        owner: str,
-        ttl: float,
-        now: float | None = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        self, owner: str, ttl: float, now: float | None = None
     ) -> Lease | None:
         """Try to lease one pending job; ``None`` when nothing pending.
 
@@ -594,11 +614,7 @@ class WorkQueue:
                 # EIO), so retry with the attempts budget rather than
                 # condemning the cell outright.
                 self._retry_or_park(
-                    target,
-                    ticket.name,
-                    owner,
-                    "unreadable job record",
-                    max_attempts,
+                    target, ticket.name, owner, "unreadable job record"
                 )
                 continue
             job = QueueJob(
@@ -622,15 +638,11 @@ class WorkQueue:
         return None
 
     def _retry_or_park(
-        self,
-        lease_path: Path,
-        identifier: str,
-        owner: str,
-        error: str,
-        max_attempts: int,
+        self, lease_path: Path, identifier: str, owner: str, error: str
     ) -> str:
         """Requeue a failed lease, or park it as an error record once
-        its attempts budget is spent.  Returns ``requeued`` / ``error``.
+        the queue's attempts budget (:attr:`max_attempts`) is spent.
+        Returns ``requeued`` / ``error``.
         """
         ticket = _read_json(lease_path)
         if ticket is None:
@@ -654,7 +666,7 @@ class WorkQueue:
             lease_path.unlink(missing_ok=True)
             return "gone"
         attempts = int(ticket.get("attempts", 0)) + 1
-        if attempts >= max_attempts:
+        if attempts >= self.max_attempts:
             # Exclusive create: a concurrent ack may have landed a real
             # completion between the caller's checks and here, and an
             # error verdict must never clobber a real result (ack's
@@ -700,12 +712,7 @@ class WorkQueue:
         )
         return "requeued"
 
-    def fail(
-        self,
-        lease: Lease,
-        error: str,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    ) -> str:
+    def fail(self, lease: Lease, error: str) -> str:
         """Record a failed execution: requeue within the attempts
         budget, park as a ``done/`` error record beyond it.
 
@@ -713,7 +720,7 @@ class WorkQueue:
         on — a poison job must never crash-loop the fleet.
         """
         return self._retry_or_park(
-            lease.path, lease.job.id, lease.owner, error, max_attempts
+            lease.path, lease.job.id, lease.owner, error
         )
 
     def ack(
@@ -757,24 +764,9 @@ class WorkQueue:
         )
 
     def filesystem_now(self) -> float:
-        """The shared filesystem's idea of "now".
-
-        Writes a scratch file under the queue root and reads back its
-        mtime — on NFS that timestamp comes from the file *server*, so
-        every scavenger probing it sees one clock regardless of local
-        skew.  The scratch name is dot-prefixed, so queue scans ignore
-        it even if a crash leaks one (``gc --prune`` sweeps those up).
-        """
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".clockprobe.")
-        try:
-            os.fsync(fd)  # force the server-side timestamp (portable)
-            return os.fstat(fd).st_mtime
-        finally:
-            os.close(fd)
-            try:
-                os.unlink(tmp)
-            except OSError:  # pragma: no cover - already gone
-                pass
+        """The shared filesystem's idea of "now", probed under the
+        queue root (:func:`repro._io.filesystem_now`)."""
+        return filesystem_now(self.root)
 
     #: How long a filesystem clock probe stays fresh.  Between probes
     #: the cached value is extrapolated with the local *monotonic*
@@ -798,8 +790,9 @@ class WorkQueue:
         probed_mono, probed_fs = self._clock_probe
         return probed_fs + (mono - probed_mono)
 
-    def _heartbeat_deadline(self, owner: str, clock: str) -> float:
-        """The instant ``owner``'s liveness lapses, under either clock.
+    def _heartbeat_deadline(self, owner: str) -> float:
+        """The instant ``owner``'s liveness lapses, under the queue's
+        clock.
 
         ``-inf`` (immediately expired) when the heartbeat is missing or
         unreadable.  Under ``mtime`` the deadline is the heartbeat
@@ -810,31 +803,19 @@ class WorkQueue:
         heartbeat = _read_json(path)
         if not heartbeat or "deadline" not in heartbeat:
             return float("-inf")
-        if clock == "mtime" and "ttl" in heartbeat:
+        if self.clock == "mtime" and "ttl" in heartbeat:
             try:
                 return path.stat().st_mtime + float(heartbeat["ttl"])
             except OSError:
                 return float("-inf")
         return float(heartbeat["deadline"])
 
-    def heartbeat_deadline(
-        self, owner: str, clock: str | None = None
-    ) -> float:
-        """Public form of the deadline rule status readers must share.
+    def heartbeat_deadline(self, owner: str) -> float:
+        """Public form of the deadline rule status readers must share,
+        so monitoring judges liveness exactly as the scavengers do."""
+        return self._heartbeat_deadline(_sanitize(owner))
 
-        Defaults to this queue's configured clock so monitoring judges
-        liveness exactly as the scavengers do.
-        """
-        return self._heartbeat_deadline(
-            _sanitize(owner), self.clock if clock is None else clock
-        )
-
-    def requeue_expired(
-        self,
-        now: float | None = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        clock: str | None = None,
-    ) -> list[str]:
+    def requeue_expired(self, now: float | None = None) -> list[str]:
         """Return expired leases to ``pending/``; returns their ids.
 
         A lease is expired when its owner's heartbeat deadline has
@@ -842,26 +823,18 @@ class WorkQueue:
         whose job already has a done record are discarded instead.
         Expiry consumes the same attempts budget as execution failures
         — a job that kills its worker outright (OOM, power loss) parks
-        as an error record after ``max_attempts`` rather than
+        as an error record after :attr:`max_attempts` rather than
         crash-looping the fleet forever.  (If the presumed-dead owner
         does finish, its ``ack`` overwrites the error record: a real
         result always wins.)
 
-        ``clock`` picks how expiry is judged (see
+        Expiry is judged under the queue's recorded clock (see
         :data:`EXPIRY_CLOCKS`): ``wall`` uses recorded absolute
         deadlines against this process's clock; ``mtime`` derives both
         the deadline (heartbeat mtime + TTL) and "now"
         (:meth:`filesystem_now`, unless an explicit ``now`` is passed)
         from the shared filesystem, so multi-box queues need no NTP.
-        ``None`` (default) uses the clock the queue was opened with.
         """
-        if clock is None:
-            clock = self.clock
-        if clock not in EXPIRY_CLOCKS:
-            raise ValueError(
-                f"unknown expiry clock {clock!r}; "
-                f"available: {', '.join(EXPIRY_CLOCKS)}"
-            )
         leases = _live_entries(self.leases_dir)
         if not leases:
             # Nothing to judge: skip the clock probe.  Idle waiting
@@ -869,12 +842,7 @@ class WorkQueue:
             # clock each probe is a create+sync+unlink round trip
             # against the shared file server.
             return []
-        if now is None:
-            now = (
-                self._filesystem_now_cached()
-                if clock == "mtime"
-                else time.time()
-            )
+        now = self.now() if now is None else now
         requeued: list[str] = []
         for lease_path in leases:
             identifier, sep, owner = lease_path.name.partition(
@@ -885,7 +853,7 @@ class WorkQueue:
             if (self.done_dir / f"{identifier}.json").exists():
                 lease_path.unlink(missing_ok=True)
                 continue
-            deadline = self._heartbeat_deadline(owner, clock)
+            deadline = self._heartbeat_deadline(owner)
             if deadline >= now:
                 continue
             _telemetry_note(
@@ -901,7 +869,6 @@ class WorkQueue:
                 identifier,
                 owner,
                 f"lease expired (worker {owner} presumed dead)",
-                max_attempts,
             )
             if outcome == "requeued":
                 requeued.append(identifier)
@@ -1120,7 +1087,7 @@ class WorkQueue:
 
         Age is derived from the lease file's mtime — the moment the
         claim rename (or the last attempts rewrite) landed — against
-        the queue's configured expiry clock, so it is meaningful on
+        the queue's recorded expiry clock, so it is meaningful on
         mtime-clock multi-box queues too.
         """
         if now is None:

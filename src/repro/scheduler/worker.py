@@ -48,12 +48,7 @@ from repro.experiments.executor import (
 from repro.reliability.failpoints import failpoint
 from repro.reliability.retry import retry_io
 from repro.scheduler.adaptive import AdaptiveController
-from repro.scheduler.queue import (
-    DEFAULT_MAX_ATTEMPTS,
-    EXPIRY_CLOCKS,
-    WorkQueue,
-    sanitize_owner,
-)
+from repro.scheduler.queue import WorkQueue, sanitize_owner
 from repro.simulation.engine import ENGINE_VERSION
 from repro.sweeps.runner import environment_hash, write_manifest
 from repro.telemetry.registry import get_telemetry
@@ -152,6 +147,12 @@ class _Heartbeater(threading.Thread):
 class QueueWorker:
     """Drains a :class:`WorkQueue` through an experiment executor.
 
+    The worker judges lease expiry and spends attempts exactly as the
+    queue records them (:attr:`WorkQueue.clock`,
+    :attr:`WorkQueue.max_attempts`, set by ``repro queue init``): its
+    scavenging passes, heartbeats and failure verdicts all go through
+    the queue handle, so every worker of one queue agrees.
+
     Parameters
     ----------
     queue:
@@ -174,18 +175,6 @@ class QueueWorker:
     wait:
         Keep polling after the queue drains instead of exiting —
         standing-daemon mode for long-lived shared queues.
-    max_attempts:
-        Attempts budget per job (claims after requeues/failures)
-        before it is parked as an error record instead of retried.
-    expiry_clock:
-        How this worker's scavenging passes judge lease expiry:
-        ``wall`` (recorded deadlines vs. this box's clock — needs NTP
-        across a multi-box fleet) or ``mtime`` (heartbeat-file mtimes
-        vs. the shared filesystem's clock — skew-immune; see
-        :data:`~repro.scheduler.queue.EXPIRY_CLOCKS`).  ``None``
-        (default) adopts the clock the queue handle was opened with;
-        an explicit value is pushed onto the handle so heartbeats and
-        scavenging always judge time the same way.
     """
 
     def __init__(
@@ -197,8 +186,6 @@ class QueueWorker:
         poll_interval: float = 0.5,
         max_jobs: int | None = None,
         wait: bool = False,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        expiry_clock: str | None = None,
     ) -> None:
         self.queue = queue
         self._executor = executor
@@ -213,25 +200,6 @@ class QueueWorker:
         self.poll_interval = float(poll_interval)
         self.max_jobs = max_jobs
         self.wait = wait
-        if max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {max_attempts}"
-            )
-        self.max_attempts = int(max_attempts)
-        if expiry_clock is None:
-            expiry_clock = queue.clock
-        elif expiry_clock not in EXPIRY_CLOCKS:
-            raise ValueError(
-                f"unknown expiry clock {expiry_clock!r}; "
-                f"available: {', '.join(EXPIRY_CLOCKS)}"
-            )
-        else:
-            # Align the handle: the heartbeater thread renews through
-            # queue.heartbeat(), which derives "now" from queue.clock —
-            # a worker scavenging by mtime while heartbeating by wall
-            # would mix clocks within one protocol.
-            queue.clock = expiry_clock
-        self.expiry_clock = expiry_clock
         self._stop_requested = False
         self._last_counters: dict = {}
 
@@ -375,17 +343,9 @@ class QueueWorker:
                     # poison job into max_attempts extra simulations.
                     break
                 requeued += len(
-                    retry_io(
-                        lambda: self.queue.requeue_expired(
-                            max_attempts=self.max_attempts,
-                            clock=self.expiry_clock,
-                        ),
-                        "scavenge",
-                    )
+                    retry_io(self.queue.requeue_expired, "scavenge")
                 )
-                lease = self.queue.claim(
-                    self.owner, self.ttl, max_attempts=self.max_attempts
-                )
+                lease = self.queue.claim(self.owner, self.ttl)
                 if lease is None:
                     if controller is not None:
                         decisions = controller.step()
@@ -417,11 +377,7 @@ class QueueWorker:
                     # the worker: requeue it within its attempts budget
                     # or park it as an error record, then move on.
                     failed += 1
-                    self.queue.fail(
-                        lease,
-                        f"{type(error).__name__}: {error}",
-                        max_attempts=self.max_attempts,
-                    )
+                    self.queue.fail(lease, f"{type(error).__name__}: {error}")
                     duration = time.monotonic() - started
                     busy_s += duration
                     self._publish_counters(

@@ -215,9 +215,12 @@ class TestVerify:
         store = ResultStore(tmp_path)
         key = store.put(captive_result)
         (tmp_path / f"{key}.json").unlink()
-        report = store.verify()
+        # Judged past the litter rule's gate: a crashed put, not a
+        # live one.
+        report = store.verify(now=time.time() + 10_000.0)
         assert not report.clean
         assert report.orphan_npz == (key,)
+        assert report.orphan_npz_in_flight == ()
 
     def test_orphan_npz_is_a_miss_for_every_read(
         self, tmp_path, captive_result
@@ -227,7 +230,7 @@ class TestVerify:
         config = captive_result.config
         assert store.load_series(config, "sqlb", 3) is not None
         (tmp_path / f"{key}.json").unlink()
-        assert store.verify().orphan_npz == (key,)
+        assert store.verify().orphan_npz_in_flight == (key,)
         misses = store.misses
         assert store.get(config, "sqlb", 3) is None
         assert store.load_series(config, "sqlb", 3) is None
@@ -319,12 +322,41 @@ class TestVerify:
         committed = marker.read_bytes()
         marker.unlink()
         report = store.verify()
-        assert report.orphan_npz == (key,)
+        assert report.orphan_npz_in_flight == (key,)
+        assert report.orphan_npz == ()
+        assert report.clean
         assert store.prune_invalid(report) == 0
         assert (tmp_path / f"{key}.npz").exists()
         marker.write_bytes(committed)  # the put's second write lands
         assert store.verify().clean
         assert store.get(captive_result.config, "sqlb", 3) is not None
+
+    def test_prune_from_a_host_ahead_keeps_a_live_puts_payload(
+        self, tmp_path, captive_result, monkeypatch
+    ):
+        """Orphan ages are judged by the filesystem's clock: a host two
+        hours ahead must not take a seconds-old payload for litter."""
+        store = ResultStore(tmp_path)
+        key = store.put(captive_result)
+        (tmp_path / f"{key}.json").unlink()
+        real_time = time.time
+        monkeypatch.setattr(time, "time", lambda: real_time() + 7200.0)
+        assert store.prune_invalid() == 0
+        assert (tmp_path / f"{key}.npz").exists()
+
+    def test_clean_store_is_never_probed(
+        self, tmp_path, captive_result, monkeypatch
+    ):
+        """Only an orphan payload needs the filesystem clock; verifying
+        a clean store writes nothing into it."""
+
+        def _boom(directory):
+            raise AssertionError("probed the clock of a clean store")
+
+        store = ResultStore(tmp_path)
+        store.put(captive_result)
+        monkeypatch.setattr(store_module, "filesystem_now", _boom)
+        assert store.verify().clean
 
     def test_temp_litter_is_ignored(self, tmp_path, captive_result):
         store = ResultStore(tmp_path)
@@ -349,7 +381,7 @@ class TestWriteOrder:
         assert not (tmp_path / f"{key}.json").exists()
         assert not store.contains(captive_result.config, "sqlb", 3)
         assert store.get(captive_result.config, "sqlb", 3) is None
-        assert store.verify().orphan_npz == (key,)
+        assert store.verify().orphan_npz_in_flight == (key,)
         # Idempotent redo commits the entry.
         store.put(captive_result)
         assert store.contains(captive_result.config, "sqlb", 3)

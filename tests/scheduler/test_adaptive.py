@@ -283,11 +283,12 @@ class TestErrorParkedScenario:
             tmp_path / "q",
             spec(),
             adaptive=AdaptiveConfig(ci_threshold=0.1, max_seeds=4).payload(),
+            max_attempts=1,
         )
         executor = executor_for(tmp_path / "store")
         # Park one cell as an error; complete the other normally.
         lease = queue.claim("w", TTL)
-        assert queue.fail(lease, "poison", max_attempts=1) == "error"
+        assert queue.fail(lease, "poison") == "error"
         QueueWorker(queue, executor=executor, owner="w", ttl=TTL).run()
         assert queue.counts().drained
 

@@ -64,7 +64,11 @@ class TestCleanQueue:
         queue = make_queue(tmp_path)
         litter = queue.pending_dir / ".ticket.stage123"
         litter.write_bytes(b"partial")
-        report = fsck_queue(queue, now=FUTURE, repair=True)
+        # Litter ages are judged against the filesystem clock, so the
+        # file itself must be old, whatever ``now`` says.
+        old = time.time() - 10_000.0
+        os.utime(litter, (old, old))
+        report = fsck_queue(queue, repair=True)
         assert kinds(report) == ["stale-temp"]
         assert not litter.exists()
 
@@ -89,10 +93,10 @@ class TestLeaseInvariants:
         assert "uncovered-lease" in kinds(report)
 
     def test_requeue_respects_attempts_budget(self, tmp_path):
-        queue = make_queue(tmp_path)
+        queue = WorkQueue.init(tmp_path / "queue", spec(), max_attempts=1)
         lease = queue.claim("crashy", ttl=TTL)
         (queue.heartbeats_dir / "crashy.json").unlink()
-        report = fsck_queue(queue, repair=True, max_attempts=1)
+        report = fsck_queue(queue, repair=True)
         assert report.violations[0].repaired
         record = json.loads(
             (queue.done_dir / f"{lease.job.id}.json").read_text()
@@ -308,6 +312,29 @@ class TestRepairedQueueDrains:
         assert store.verify().clean
         # lease.job was requeued, re-run, and stored exactly once.
         assert (queue.done_dir / f"{lease.job.id}.json").exists()
+
+
+class TestSkewedHost:
+    """fsck run from a host whose clock is two hours ahead of the
+    filesystem's: liveness follows the queue's recorded clock and
+    litter ages follow the filesystem clock, so nothing live moves."""
+
+    def test_repair_keeps_a_live_lease_and_a_fresh_temp(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "queue"
+        WorkQueue.init(root, spec(), expiry_clock="mtime")
+        lease = WorkQueue(root).claim("live-worker", ttl=TTL)
+        temp = root / "pending" / ".ticket.stage123"
+        temp.write_bytes(b"partial")
+        real_time = time.time
+        monkeypatch.setattr(time, "time", lambda: real_time() + 7200.0)
+        report = fsck_queue(WorkQueue(root), repair=True)
+        assert report.clean, report.payload()
+        assert lease.path.exists()
+        assert temp.exists()
+        ticket = json.loads(lease.path.read_text())
+        assert ticket["attempts"] == 0  # no attempt spent
 
 
 class TestReportShape:

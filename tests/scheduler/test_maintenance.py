@@ -32,12 +32,17 @@ def queue(tmp_path) -> WorkQueue:
 def park_one_error(queue: WorkQueue) -> str:
     """Claim a job and fail it past its budget; returns its id."""
     lease = queue.claim("worker-a", TTL)
-    outcome = queue.fail(lease, "engine exploded", max_attempts=1)
+    outcome = queue.fail(lease, "engine exploded")
     assert outcome == "error"
     return lease.job.id
 
 
 class TestRetry:
+    @pytest.fixture
+    def queue(self, tmp_path) -> WorkQueue:
+        # One failure spends the whole budget: park_one_error parks.
+        return WorkQueue.init(tmp_path / "q", spec(), max_attempts=1)
+
     def test_retry_requeues_with_fresh_attempts(self, queue):
         identifier = park_one_error(queue)
         assert queue.error_records()[0]["id"] == identifier
@@ -147,7 +152,26 @@ class TestGc:
         assert (queue.heartbeats_dir / "leaseholder.json").exists()
 
 
+def skew_heartbeat(queue: WorkQueue, owner: str):
+    """Claim a lease whose owner's clock runs a day fast: a wall
+    deadline far in the future, but a heartbeat *file* last touched
+    three TTLs ago."""
+    lease = queue.claim(owner, TTL)
+    assert lease is not None
+    heartbeat_path = queue.heartbeats_dir / f"{owner}.json"
+    payload = json.loads(heartbeat_path.read_text())
+    payload["deadline"] = time.time() + 86400.0
+    heartbeat_path.write_text(json.dumps(payload))
+    old = time.time() - 3.0 * TTL
+    os.utime(heartbeat_path, (old, old))
+    return lease
+
+
 class TestMtimeExpiry:
+    @pytest.fixture
+    def queue(self, tmp_path) -> WorkQueue:
+        return WorkQueue.init(tmp_path / "q", spec(), expiry_clock="mtime")
+
     def test_filesystem_now_tracks_the_clock(self, queue):
         probed = queue.filesystem_now()
         assert abs(probed - time.time()) < 60.0
@@ -157,53 +181,44 @@ class TestMtimeExpiry:
             for p in queue.root.iterdir()
         )
 
-    def test_mtime_clock_ignores_wall_deadlines(self, queue):
+    def test_mtime_clock_ignores_wall_deadlines(self, queue, tmp_path):
         """A skewed writer's bogus absolute deadline must not matter."""
-        lease = queue.claim("skewed", TTL)
-        assert lease is not None
-        heartbeat_path = queue.heartbeats_dir / "skewed.json"
-        # The owner's clock runs a day fast: wall deadline far in the
-        # future, but the *file* was last touched over two TTLs ago.
-        payload = json.loads(heartbeat_path.read_text())
-        payload["deadline"] = time.time() + 86400.0
-        heartbeat_path.write_text(json.dumps(payload))
-        old = time.time() - 3.0 * TTL
-        os.utime(heartbeat_path, (old, old))
+        wall_queue = WorkQueue.init(tmp_path / "wall", spec())
+        skew_heartbeat(wall_queue, "skewed")
+        lease = skew_heartbeat(queue, "skewed")
 
-        assert queue.requeue_expired(clock="wall") == []
-        requeued = queue.requeue_expired(clock="mtime")
+        assert wall_queue.requeue_expired() == []
+        requeued = queue.requeue_expired()
         assert requeued == [lease.job.id]
 
     def test_mtime_clock_keeps_live_leases(self, queue):
         lease = queue.claim("live-owner", TTL)
         assert lease is not None
         # Freshly written heartbeat: mtime + ttl is comfortably ahead.
-        assert queue.requeue_expired(clock="mtime") == []
+        assert queue.requeue_expired() == []
         assert lease.path.exists()
 
     def test_unknown_clock_is_refused(self, queue):
-        with pytest.raises(ValueError, match="unknown expiry clock"):
-            queue.requeue_expired(clock="sundial")
+        """Every command opens the queue through one check: a recorded
+        clock it does not know is a clean CLI error, not a fallback."""
+        from repro.cli import main
 
-    def test_missing_heartbeat_expires_under_either_clock(self, queue):
-        lease = queue.claim("ghost", TTL)
-        assert lease is not None
-        queue.retire("ghost")
-        assert queue.requeue_expired(clock="mtime") == [lease.job.id]
+        queue_file = queue.root / "queue.json"
+        payload = json.loads(queue_file.read_text())
+        payload["expiry_clock"] = "sundial"
+        queue_file.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match="unknown expiry clock"):
+            main(["queue", "status", "--queue-dir", str(queue.root)])
 
-
-class TestWorkerExpiryClock:
-    def test_worker_validates_the_clock(self, queue):
-        from repro.scheduler.worker import QueueWorker
-
-        with pytest.raises(ValueError, match="unknown expiry clock"):
-            QueueWorker(queue, expiry_clock="sundial")
-
-    def test_worker_accepts_mtime(self, queue):
-        from repro.scheduler.worker import QueueWorker
-
-        worker = QueueWorker(queue, expiry_clock="mtime")
-        assert worker.expiry_clock == "mtime"
+    def test_missing_heartbeat_expires_under_either_clock(
+        self, queue, tmp_path
+    ):
+        wall_queue = WorkQueue.init(tmp_path / "wall", spec())
+        for handle in (queue, wall_queue):
+            lease = handle.claim("ghost", TTL)
+            assert lease is not None
+            handle.retire("ghost")
+            assert handle.requeue_expired() == [lease.job.id]
 
 
 class TestReviewRegressions:
@@ -221,13 +236,14 @@ class TestReviewRegressions:
         assert report.requeued == ()
 
     def test_idle_requeue_expired_skips_the_clock_probe(
-        self, queue, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         """With no leases there is nothing to judge, so the mtime
         clock must not touch the filesystem at all."""
+        queue = WorkQueue.init(tmp_path / "q", spec(), expiry_clock="mtime")
 
         def _boom(self):
             raise AssertionError("probed the clock with no leases")
 
         monkeypatch.setattr(WorkQueue, "filesystem_now", _boom)
-        assert queue.requeue_expired(clock="mtime") == []
+        assert queue.requeue_expired() == []

@@ -27,6 +27,18 @@ def queue(tmp_path) -> WorkQueue:
     return WorkQueue.init(tmp_path / "q", spec())
 
 
+def rewrite_queue_json(root, **changes) -> None:
+    """Edit ``queue.json`` in place (``None`` deletes a key)."""
+    queue_file = root / "queue.json"
+    payload = json.loads(queue_file.read_text())
+    for key, value in changes.items():
+        if value is None:
+            payload.pop(key, None)
+        else:
+            payload[key] = value
+    queue_file.write_text(json.dumps(payload))
+
+
 class TestInit:
     def test_layout_and_full_grid(self, queue):
         counts = queue.counts()
@@ -199,9 +211,10 @@ class TestReviewHardening:
         [beat] = queue.heartbeats()
         assert beat["owner"] == "host.with-slash"
 
-    def test_fail_requeues_then_parks_after_budget(self, queue):
+    def test_fail_requeues_then_parks_after_budget(self, tmp_path):
+        queue = WorkQueue.init(tmp_path / "q", spec(), max_attempts=2)
         lease = queue.claim("w", TTL)
-        assert queue.fail(lease, "step 1", max_attempts=2) == "requeued"
+        assert queue.fail(lease, "step 1") == "requeued"
         assert (queue.pending_dir / lease.job.id).exists()
         again = None
         while (candidate := queue.claim("w", TTL)) is not None:
@@ -209,20 +222,21 @@ class TestReviewHardening:
                 again = candidate
                 break
         assert again is not None
-        assert queue.fail(again, "step 2", max_attempts=2) == "error"
+        assert queue.fail(again, "step 2") == "error"
         [record] = [
             r for r in queue.done_records() if r["id"] == lease.job.id
         ]
         assert record["state"] == "error"
         assert record["error"] == "step 2"
 
-    def test_claim_retries_unreadable_job_records(self, queue):
+    def test_claim_retries_unreadable_job_records(self, tmp_path):
         """A ticket whose job record is unreadable is requeued within
         the attempts budget, then parked as an error."""
+        queue = WorkQueue.init(tmp_path / "q", spec(), max_attempts=2)
         victim = queue.jobs()[0]
         (queue.jobs_dir / f"{victim.id}.json").write_text("{not json")
         for _ in range(6):  # enough passes to exhaust the budget
-            while queue.claim("w", TTL, max_attempts=2) is not None:
+            while queue.claim("w", TTL) is not None:
                 pass
             # Release the good leases so the next pass can reclaim.
             for lease_path in list(queue.leases_dir.iterdir()):
@@ -235,13 +249,12 @@ class TestReviewHardening:
         assert record["state"] == "error"
         assert "unreadable" in record["error"]
 
-    def test_expiry_consumes_the_attempts_budget(self, queue):
+    def test_expiry_consumes_the_attempts_budget(self, tmp_path):
         """A job that keeps killing its worker (lease expires, never
         fails in-process) parks as an error after max_attempts."""
+        queue = WorkQueue.init(tmp_path / "q", spec(), max_attempts=2)
         lease = queue.claim("dying", TTL, now=1000.0)
-        assert queue.requeue_expired(
-            now=2000.0, max_attempts=2
-        ) == [lease.job.id]
+        assert queue.requeue_expired(now=2000.0) == [lease.job.id]
         again = queue.claim("dying", TTL, now=3000.0)
         # Make the reclaimed job the expired one deterministically.
         while again is not None and again.job.id != lease.job.id:
@@ -249,7 +262,7 @@ class TestReviewHardening:
             again = queue.claim("dying", TTL, now=3000.0)
         assert again is not None
         (queue.heartbeats_dir / "dying.json").unlink()
-        assert queue.requeue_expired(now=4000.0, max_attempts=2) == []
+        assert queue.requeue_expired(now=4000.0) == []
         [record] = [
             r for r in queue.done_records() if r["id"] == lease.job.id
         ]
@@ -273,11 +286,12 @@ class TestReviewHardening:
         )
         assert ticket["attempts"] == 1  # not reset
 
-    def test_ack_overwrites_an_expiry_error_record(self, queue):
+    def test_ack_overwrites_an_expiry_error_record(self, tmp_path):
         """A presumed-dead worker that actually finishes wins: its ack
         replaces the scavenger's error verdict."""
+        queue = WorkQueue.init(tmp_path / "q", spec(), max_attempts=1)
         lease = queue.claim("zombie", TTL, now=1000.0)
-        queue.requeue_expired(now=2000.0, max_attempts=1)  # parks error
+        queue.requeue_expired(now=2000.0)  # parks error
         [record] = queue.done_records()
         assert record["state"] == "error"
         queue.ack(lease, "simulated", duration_s=9.0)
@@ -291,15 +305,16 @@ class TestReviewHardening:
         queue.retire("leaver")
         assert queue.heartbeats() == []
 
-    def test_error_park_never_clobbers_a_real_result(self, queue):
+    def test_error_park_never_clobbers_a_real_result(self, tmp_path):
         """A scavenger's error verdict racing a real ack must lose:
         the completion record stays intact."""
+        queue = WorkQueue.init(tmp_path / "q", spec(), max_attempts=1)
         lease = queue.claim("racer", TTL, now=1000.0)
         queue.ack(lease, "simulated", duration_s=1.0)
         # Resurrect the lease as the race would leave it (the parker
         # read the ticket before ack unlinked the file).
         lease.path.write_text(json.dumps({"attempts": 5}))
-        assert queue.fail(lease, "late verdict", max_attempts=1) == "gone"
+        assert queue.fail(lease, "late verdict") == "gone"
         [record] = [
             r for r in queue.done_records() if r["id"] == lease.job.id
         ]
@@ -318,22 +333,78 @@ class TestReviewHardening:
 
 
 class TestClockThreading:
-    """A queue opened with ``--expiry-clock mtime`` must never silently
-    fall back to the local wall clock (the bug this class pins)."""
+    """A queue initialised with ``--expiry-clock mtime`` must never
+    silently fall back to the local wall clock (the bug this class
+    pins), and every handle reads the clock and the attempts budget
+    from ``queue.json``."""
+
+    def test_settings_are_recorded_once_in_queue_json(self, tmp_path):
+        root = tmp_path / "q"
+        WorkQueue.init(root, spec(), expiry_clock="mtime", max_attempts=5)
+        payload = json.loads((root / "queue.json").read_text())
+        assert (payload["expiry_clock"], payload["max_attempts"]) == (
+            "mtime",
+            5,
+        )
+        reopened = WorkQueue(root)
+        assert (reopened.clock, reopened.max_attempts) == ("mtime", 5)
+
+    def test_queue_json_without_settings_reads_as_defaults(self, tmp_path):
+        """A queue initialised before the two settings were recorded
+        opens as wall/3, as every flagless process judged it, and a
+        worker drains it."""
+        from repro.experiments.executor import ExperimentExecutor
+        from repro.experiments.store import ResultStore
+        from repro.scheduler.worker import QueueWorker
+
+        root = tmp_path / "q"
+        one_cell = SweepSpec(
+            name="legacy",
+            scenarios=("captive_fixed_80",),
+            methods=("sqlb",),
+            seeds=(1,),
+            scale="tiny",
+        )
+        WorkQueue.init(root, one_cell, expiry_clock="mtime", max_attempts=7)
+        rewrite_queue_json(root, expiry_clock=None, max_attempts=None)
+        legacy = WorkQueue(root)
+        assert (legacy.clock, legacy.max_attempts) == ("wall", 3)
+        executor = ExperimentExecutor(
+            workers=1, store=ResultStore(tmp_path / "store")
+        )
+        report = QueueWorker(legacy, executor=executor, owner="old").run()
+        assert report.processed == 1
+        assert legacy.counts().drained
 
     def test_unknown_clock_refused_at_open(self, queue):
-        with pytest.raises(ValueError, match="expiry clock"):
-            WorkQueue(queue.root, clock="sundial")
+        rewrite_queue_json(queue.root, expiry_clock="sundial")
+        with pytest.raises(ValueError, match="expiry clock 'sundial'"):
+            WorkQueue(queue.root)
 
-    def test_explicit_unknown_clock_still_refused(self, queue):
-        with pytest.raises(ValueError, match="expiry clock"):
-            queue.requeue_expired(clock="sundial")
+    @pytest.mark.parametrize("budget", [0, -1, "3", 2.5, True])
+    def test_bad_attempts_budget_refused_at_open(self, queue, budget):
+        rewrite_queue_json(queue.root, max_attempts=budget)
+        with pytest.raises(ValueError, match=f"max_attempts {budget!r}"):
+            WorkQueue(queue.root)
+
+    @pytest.mark.parametrize(
+        "settings", [{"expiry_clock": "sundial"}, {"max_attempts": 0}]
+    )
+    def test_init_refuses_bad_settings_before_writing(
+        self, tmp_path, settings
+    ):
+        root = tmp_path / "q"
+        with pytest.raises(ValueError, match=repr(*settings.values())):
+            WorkQueue.init(root, spec(), **settings)
+        assert not root.exists()
 
     def test_now_follows_the_handle_clock(self, queue, tmp_path):
         import time
 
         assert abs(queue.now() - time.time()) < 1.0
-        mtime_queue = WorkQueue(queue.root, clock="mtime")
+        mtime_queue = WorkQueue.init(
+            tmp_path / "mtime", spec(), expiry_clock="mtime"
+        )
         # The filesystem probe returns a real timestamp (tmpfs and
         # local disks track wall time closely; equality is not the
         # contract, finiteness and same-era is).
@@ -346,21 +417,28 @@ class TestClockThreading:
         queue.heartbeat("w", TTL, now=1000.0)
         assert queue.heartbeat_deadline("w") == 1000.0 + TTL
 
-    def test_mtime_queue_ignores_recorded_wall_deadlines(self, queue):
-        """Regression: an mtime-opened queue judges liveness by the
-        heartbeat *file's* freshness, so a worker whose recorded wall
-        deadline is ancient (clock skew) is still alive — and the same
-        lease under the wall clock would be scavenged."""
+    def test_mtime_queue_ignores_recorded_wall_deadlines(
+        self, queue, tmp_path
+    ):
+        """Regression: an mtime queue judges liveness by the heartbeat
+        *file's* freshness, so a worker whose recorded wall deadline is
+        ancient (clock skew) is still alive — and the same lease on a
+        wall-clock queue is scavenged."""
         import time
 
-        lease = queue.claim("skewed", TTL, now=0.0)  # deadline = TTL
-        assert lease is not None
-        mtime_queue = WorkQueue(queue.root, clock="mtime")
-        # Default (handle) clock: the file was touched moments ago.
+        mtime_queue = WorkQueue.init(
+            tmp_path / "mtime", spec(), expiry_clock="mtime"
+        )
+        leases = {
+            clock: handle.claim("skewed", TTL, now=0.0)  # deadline = TTL
+            for clock, handle in (("wall", queue), ("mtime", mtime_queue))
+        }
+        assert None not in leases.values()
+        # The file was touched moments ago.
         assert mtime_queue.requeue_expired() == []
         assert mtime_queue.heartbeat_deadline("skewed") > time.time() - 60.0
         # The recorded deadline says long-expired under the wall clock.
-        assert queue.requeue_expired() == [lease.job.id]
+        assert queue.requeue_expired() == [leases["wall"].job.id]
 
 
 class TestFreshQueueMaintenance:

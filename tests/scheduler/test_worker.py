@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import time
 import threading
 
@@ -10,6 +12,7 @@ import pytest
 
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.store import ResultStore
+from repro.reliability.retry import retry_io
 from repro.scheduler.queue import WorkQueue
 from repro.scheduler.worker import QueueWorker
 from repro.simulation.engine import ENGINE_VERSION
@@ -35,27 +38,42 @@ def executor_for(path) -> ExperimentExecutor:
 
 
 class TestExpiryClock:
-    def test_worker_adopts_the_queue_handle_clock(self, tmp_path):
-        queue = WorkQueue(
-            WorkQueue.init(tmp_path / "q", spec()).root, clock="mtime"
-        )
-        worker = QueueWorker(queue, owner="adopter", ttl=TTL)
-        assert worker.expiry_clock == "mtime"
+    def test_worker_adopts_the_queue_handle_clock(
+        self, tmp_path, monkeypatch
+    ):
+        """Given no clock argument, a worker on an mtime queue
+        scavenges by heartbeat-file mtime: a lease whose owner's clock
+        runs a day fast, but whose heartbeat file went quiet three TTLs
+        ago, is requeued and run."""
+        queue = WorkQueue.init(tmp_path / "q", spec(), expiry_clock="mtime")
+        skewed = queue.claim("skewed", TTL)
+        while (other := queue.claim("elsewhere", TTL)) is not None:
+            queue.ack(other, "simulated")
+        heartbeat = queue.heartbeats_dir / "skewed.json"
+        payload = json.loads(heartbeat.read_text())
+        payload["deadline"] = time.time() + 86400.0
+        heartbeat.write_text(json.dumps(payload))
+        old = time.time() - 3.0 * TTL
+        os.utime(heartbeat, (old, old))
 
-    def test_explicit_clock_is_pushed_onto_the_handle(self, tmp_path):
-        queue = WorkQueue.init(tmp_path / "q", spec())
-        assert queue.clock == "wall"
-        worker = QueueWorker(
-            queue, owner="pusher", ttl=TTL, expiry_clock="mtime"
-        )
-        assert worker.expiry_clock == "mtime"
-        # Heartbeats and scavenging must judge time the same way.
-        assert queue.clock == "mtime"
+        def idle(_seconds):
+            raise AssertionError("worker idled beside an expired lease")
 
-    def test_unknown_clock_refused(self, tmp_path):
-        queue = WorkQueue.init(tmp_path / "q", spec())
-        with pytest.raises(ValueError, match="expiry clock"):
-            QueueWorker(queue, owner="x", ttl=TTL, expiry_clock="sundial")
+        # Judged by the wall deadline the lease would look alive and
+        # the worker would poll forever; fail fast instead.
+        monkeypatch.setattr(time, "sleep", idle)
+        report = QueueWorker(
+            queue,
+            executor=executor_for(tmp_path / "store"),
+            owner="survivor",
+            ttl=TTL,
+        ).run()
+        assert report.requeued == 1
+        assert report.processed == 1
+        [record] = [
+            r for r in queue.done_records() if r["id"] == skewed.job.id
+        ]
+        assert record["owner"] == "survivor"
 
 
 class TestDrain:
@@ -250,13 +268,12 @@ class TestPoisonJobs:
     def test_failing_jobs_are_bounded_not_crash_looped(self, tmp_path):
         """An execution that raises must not kill the worker; the job
         retries up to max_attempts, then parks as an error record."""
-        queue = WorkQueue.init(tmp_path / "q", spec())
+        queue = WorkQueue.init(tmp_path / "q", spec(), max_attempts=2)
         exploding = _ExplodingExecutor(
             workers=1, store=ResultStore(tmp_path / "store")
         )
         report = QueueWorker(
-            queue, executor=exploding, owner="victim", ttl=TTL,
-            max_attempts=2,
+            queue, executor=exploding, owner="victim", ttl=TTL
         ).run()
         # Every job failed once (attempts=1, requeued) and once more
         # (attempts=2 = budget, parked); the worker survived to drain.
@@ -274,13 +291,12 @@ class TestPoisonJobs:
     def test_error_records_do_not_poison_the_report(self, tmp_path):
         from repro.scheduler.monitor import queue_report, queue_status
 
-        queue = WorkQueue.init(tmp_path / "q", spec())
+        queue = WorkQueue.init(tmp_path / "q", spec(), max_attempts=1)
         exploding = _ExplodingExecutor(
             workers=1, store=ResultStore(tmp_path / "store")
         )
         QueueWorker(
-            queue, executor=exploding, owner="victim", ttl=TTL,
-            max_attempts=1,
+            queue, executor=exploding, owner="victim", ttl=TTL
         ).run()
         assert queue_status(queue)["counts"]["errors"] == 4
         assert queue_report(
@@ -359,13 +375,13 @@ class TestHeartbeatRetirement:
     def test_max_jobs_counts_failed_attempts(self, tmp_path):
         """A bounded session must not spend extra executions on a
         poison job beyond its budget."""
-        queue = WorkQueue.init(tmp_path / "q", spec())
+        queue = WorkQueue.init(tmp_path / "q", spec(), max_attempts=5)
         exploding = _ExplodingExecutor(
             workers=1, store=ResultStore(tmp_path / "store")
         )
         report = QueueWorker(
             queue, executor=exploding, owner="budget", ttl=TTL,
-            max_jobs=2, max_attempts=5,
+            max_jobs=2,
         ).run()
         assert report.processed + report.failed == 2
 
@@ -397,7 +413,9 @@ class TestHeartbeatLoss:
         assert beater.consecutive_misses == 0  # reset on success
         assert any(b["owner"] == "hb" for b in queue.heartbeats())
 
-    def test_budget_exhaustion_invokes_on_failure_once(self, tmp_path):
+    def test_budget_exhaustion_invokes_on_failure_once(
+        self, tmp_path, monkeypatch
+    ):
         from repro.scheduler.worker import _Heartbeater
 
         queue = WorkQueue.init(tmp_path / "q", spec())
@@ -410,9 +428,12 @@ class TestHeartbeatLoss:
         beater = _Heartbeater(
             queue, "hb", ttl=0.03, on_failure=lambda: lost.append(1)
         )
-        # retry_io sleeps for real inside the renewal; shrink the pain
-        # by patching the retry budget down via ttl (ttl/3 cadence) and
-        # waiting generously.
+        # Each miss is a whole retry_io budget; skip its real backoff
+        # through the sleep injection point.
+        monkeypatch.setattr(
+            "repro.scheduler.worker.retry_io",
+            functools.partial(retry_io, sleep=lambda _seconds: None),
+        )
         beater.start()
         beater.join(timeout=60.0)
         assert not beater.is_alive()  # gave up on its own

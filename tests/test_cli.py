@@ -326,6 +326,8 @@ class TestQueueParser:
         assert args.ci_threshold == 0.5
         assert args.max_seeds == len(PAPER_SEEDS)
         assert args.seed_batch == 2
+        assert args.expiry_clock == "wall"
+        assert args.max_attempts == 3
 
     def test_work_defaults(self):
         args = build_parser().parse_args(
@@ -349,6 +351,7 @@ class TestQueueParser:
             ["queue", "work", "--queue-dir", "q", "--max-jobs", "0"],
             ["queue", "init", "--queue-dir", "q", "--ci-threshold", "-1"],
             ["queue", "init", "--queue-dir", "q", "--seed-batch", "0"],
+            ["queue", "init", "--queue-dir", "q", "--max-attempts", "0"],
         ],
     )
     def test_rejects_non_positive_knobs(self, flags):
@@ -470,6 +473,10 @@ class TestQueueCommands:
         assert status["drained"]
         assert status["counts"]["done"] == 2
         assert sum(m["jobs"] for m in status["manifests"]) == 2
+        assert (status["expiry_clock"], status["max_attempts"]) == (
+            "wall",
+            3,
+        )
 
         report = self._run(
             capsys, "queue", "report", "--queue-dir", queue_dir,
@@ -553,10 +560,10 @@ class TestAnalyzeParser:
                 ]
             )
 
-    def test_queue_work_accepts_expiry_clock(self):
+    def test_queue_init_accepts_expiry_clock(self):
         args = build_parser().parse_args(
             [
-                "queue", "work", "--queue-dir", "q",
+                "queue", "init", "--queue-dir", "q",
                 "--expiry-clock", "mtime",
             ]
         )
@@ -564,10 +571,17 @@ class TestAnalyzeParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 [
-                    "queue", "work", "--queue-dir", "q",
+                    "queue", "init", "--queue-dir", "q",
                     "--expiry-clock", "sundial",
                 ]
             )
+        # Recorded once at init: no per-process flag to disagree with.
+        for command in ("work", "status", "top", "fsck", "fleet"):
+            for flag in (["--expiry-clock", "mtime"], ["--max-attempts", "2"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(
+                        ["queue", command, "--queue-dir", "q", *flag]
+                    )
 
 
 class TestAnalyzeCommands:
@@ -677,7 +691,7 @@ class TestQueueMaintenanceCli:
         queue_dir = str(tmp_path / "q")
         self._run(
             capsys, "queue", "init", "--queue-dir", queue_dir,
-            *QUEUE_SPEC_FLAGS,
+            *QUEUE_SPEC_FLAGS, "--max-attempts", "1",
         )
         # Plant an old orphaned temp file.
         stale = tmp_path / "q" / "pending" / ".ticket.orphan"
@@ -705,7 +719,7 @@ class TestQueueMaintenanceCli:
 
         queue = WorkQueue(queue_dir)
         lease = queue.claim("cli-worker", 30.0)
-        assert queue.fail(lease, "boom", max_attempts=1) == "error"
+        assert queue.fail(lease, "boom") == "error"
 
         listing = self._run(
             capsys, "queue", "retry", "--queue-dir", queue_dir,
@@ -927,6 +941,69 @@ class TestReliabilityCommands:
         assert "pruned 1 file(s)" in out
         assert not npz.exists()
         self._run(capsys, "store", "verify", "--cache-dir", str(store_dir))
+
+    def test_init_records_the_clock_and_budget_for_every_command(
+        self, tmp_path, capsys
+    ):
+        """fsck and status read what init recorded: a one-attempt
+        budget parks the uncovered lease fsck repairs."""
+        import json as jsonlib
+
+        from repro.scheduler.queue import WorkQueue
+
+        queue_dir = str(tmp_path / "q")
+        self._run(
+            capsys, "queue", "init", "--queue-dir", queue_dir,
+            *QUEUE_SPEC_FLAGS, "--expiry-clock", "mtime",
+            "--max-attempts", "1",
+        )
+        queue = WorkQueue(queue_dir)
+        lease = queue.claim("doomed", 30.0)
+        queue.retire("doomed")  # the lease is no longer covered
+        self._run(
+            capsys, "queue", "fsck", "--queue-dir", queue_dir,
+            "--no-cache", "--repair",
+        )
+        status = jsonlib.loads(
+            self._run(
+                capsys, "queue", "status", "--queue-dir", queue_dir,
+                "--json",
+            )
+        )
+        assert (status["expiry_clock"], status["max_attempts"]) == (
+            "mtime",
+            1,
+        )
+        assert status["counts"]["errors"] == 1
+        [record] = queue.error_records()
+        assert record["id"] == lease.job.id
+
+    def test_store_verify_prune_from_a_host_ahead_keeps_a_fresh_payload(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Orphan ages are judged by the filesystem's clock: from a
+        host two hours ahead, a live put's seconds-old payload is still
+        in flight, listed and kept."""
+        import time
+
+        from repro.experiments.store import ResultStore
+        from repro.simulation.config import tiny_config
+        from repro.simulation.engine import run_simulation
+
+        store_dir = tmp_path / "store"
+        key = ResultStore(store_dir).put(
+            run_simulation(tiny_config(duration=40.0), "sqlb", seed=3)
+        )
+        (store_dir / f"{key}.json").unlink()
+        real_time = time.time
+        monkeypatch.setattr(time, "time", lambda: real_time() + 7200.0)
+        out = self._run(
+            capsys, "store", "verify", "--cache-dir", str(store_dir),
+            "--prune",
+        )
+        assert f"(a put in flight, left alone): {key}" in out
+        assert "store is clean" in out
+        assert (store_dir / f"{key}.npz").exists()
 
     def test_store_verify_prunes_a_zero_byte_payload(self, tmp_path, capsys):
         """What a power loss after the rename leaves without durable
