@@ -262,10 +262,18 @@ def aggregate_band(
             "ignore", "Degrees of freedom <= 0", RuntimeWarning
         )
         mean = np.nanmean(stacked, axis=0)
-        quantiles = {
-            q: np.nanquantile(stacked, q, axis=0)
-            for q in SUMMARY_QUANTILES
-        }
+        # On a column without NaN, np.quantile gives np.nanquantile's
+        # answer bit for bit in one call for all columns, where
+        # np.nanquantile makes one per column; only the ragged columns
+        # take the NaN rule.
+        ragged = np.flatnonzero(~usable.all(axis=0))
+        quantiles = {}
+        for q in SUMMARY_QUANTILES:
+            quantiles[q] = np.quantile(stacked, q, axis=0)
+            if ragged.size:
+                quantiles[q][ragged] = np.nanquantile(
+                    stacked[:, ragged], q, axis=0
+                )
         std = np.nanstd(stacked, axis=0, ddof=1)
         halfwidth = np.where(
             counts >= 2,

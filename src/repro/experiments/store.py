@@ -30,9 +30,10 @@ behind; unreadable entries are treated as misses and overwritten on
 the next ``put``.
 
 Every read decodes the ``.npz`` through one private reader,
-:class:`_Payload`: one file read, numpy's ``.npy`` header parser run
-once per distinct header, and anything ``put`` never writes refused as
-unreadable.
+:class:`_Payload`: one file read, the zip records parsed with
+``struct``, one ``zlib`` call per decoded member, numpy's ``.npy``
+header parser run once per distinct header, and anything ``put`` never
+writes refused as unreadable.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import hashlib
 import io
 import json
 import math
+import struct
 import zipfile
 import zlib
 from pathlib import Path
@@ -72,23 +74,40 @@ _DEPARTURE_FIELDS = tuple(
     f.name for f in dataclasses.fields(DepartureRecord)
 )
 
-#: What reading a torn, truncated or foreign payload raises: ``zipfile``
-#: reports a missing directory or a bad CRC as ``BadZipFile``, a short
-#: or corrupt deflate stream as ``EOFError`` or ``zlib.error``, and an
-#: encrypted member or a zip feature it lacks as ``RuntimeError``; the
-#: reader refuses every other form ``put`` never writes with
-#: ``ValueError`` (``json.JSONDecodeError`` is one too).
+#: What reading a torn, truncated or foreign payload raises: the
+#: reader reports a zip structure ``put`` never writes, or a member
+#: whose inflated size or CRC-32 disagrees with the directory, as
+#: ``BadZipFile``, a header cut short as ``struct.error``, and a short
+#: or corrupt deflate stream as ``zlib.error``; it refuses every other
+#: form ``put`` never writes with ``ValueError``
+#: (``json.JSONDecodeError`` is one too).
 _UNREADABLE = (
     OSError,
-    EOFError,
-    RuntimeError,
     ValueError,
+    struct.error,
     zlib.error,
     zipfile.BadZipFile,
 )
 
 #: The only member preamble ``put`` writes: ``.npy`` magic, version 1.0.
 _NPY_MAGIC = np.lib.format.magic(1, 0)
+
+#: The three zip records ``put``'s archives hold, little-endian: the end
+#: record (magic, this disk, directory disk, entries on this disk,
+#: entries, directory size, directory offset, comment length), a
+#: directory entry (magic, flags, method, CRC-32, compressed size, size,
+#: name, extra and comment lengths, local header offset) and a local
+#: header (magic, name and extra lengths).  Versions, times,
+#: attributes and the local CRC and sizes are skipped: none changes a
+#: byte of a member, and versions and local sizes differ between Python
+#: versions.
+_END = struct.Struct("<4s4H2LH")
+_ENTRY = struct.Struct("<4s4xHH4xLLLHHH8xL")
+_LOCAL = struct.Struct("<4s22xHH")
+
+#: The one extra field a local header may carry: the zip64 size record
+#: (tag 1, 16 bytes) that ``force_zip64`` writes, 20 bytes in all.
+_ZIP64_TAG = struct.pack("<HH", 1, 16)
 
 
 @functools.lru_cache(maxsize=128)
@@ -112,31 +131,80 @@ def _npy_header(header: bytes) -> tuple[tuple[int, ...], np.dtype, int]:
 class _Payload:
     """One stored ``.npz``: read once, members decoded on demand.
 
-    Accepts only what ``put`` writes — a zip of deflated ``.npy``
-    members with version-1.0, C-order, non-object headers and exactly
-    the payload their header declares — and raises one of
-    :data:`_UNREADABLE` on anything else, a zero-byte or truncated file
-    included.  Every array equals ``np.load``'s bit for bit, with the
-    same dtype and shape, and is writable and owns its memory.
+    Accepts only what ``put`` writes: one zip archive whose end record
+    closes the file with no comment and no zip64 records, whose members
+    are deflated ``.npy`` files with ASCII names, laid out back to back
+    from byte 0 to the directory in directory order, each directory
+    entry without flags, extra field or comment, and each local header
+    naming its member as the directory does, with no extra field or
+    only the zip64 size record.  A member decodes only if it inflates
+    to exactly the size and CRC-32 the directory records and holds a
+    version-1.0, C-order, non-object ``.npy`` with exactly the payload
+    its header declares.  Anything else, a zero-byte or truncated file
+    included, raises one of :data:`_UNREADABLE`.  Every array equals
+    ``np.load``'s bit for bit, with the same dtype and shape, and is
+    writable and owns its memory.
     """
 
     def __init__(self, path: Path) -> None:
-        self._archive = zipfile.ZipFile(io.BytesIO(path.read_bytes()))
-        self.members: dict[str, zipfile.ZipInfo] = {}
-        for info in self._archive.infolist():
-            name, suffix = info.filename[:-4], info.filename[-4:]
-            # put writes no member comments: a corrupt comment length
-            # in the zip directory would swallow later members silently.
+        data = path.read_bytes()
+        self._data = memoryview(data)
+        end = len(data) - _END.size
+        (
+            magic, disk, first_disk, disk_entries, entries, size, offset,
+            comment,
+        ) = _END.unpack_from(data, end)
+        if (magic, disk, first_disk, disk_entries, comment) != (
+            b"PK\x05\x06", 0, 0, entries, 0
+        ) or offset + size != end:
+            raise zipfile.BadZipFile("refused zip end record")
+        #: name -> (data offset, compressed size, size, CRC-32)
+        self.members: dict[str, tuple[int, int, int, int]] = {}
+        at = offset
+        next_header = 0
+        for _ in range(entries):
+            (
+                magic, flags, method, crc, packed, unpacked, name_length,
+                extra_length, comment_length, header,
+            ) = _ENTRY.unpack_from(data, at)
+            at += _ENTRY.size + name_length
+            name = data[at - name_length : at]
             if (
-                suffix != ".npy"
-                or info.compress_type != zipfile.ZIP_DEFLATED
-                or info.comment
+                magic != b"PK\x01\x02"
+                or flags
+                or method != zlib.DEFLATED
+                or extra_length
+                or comment_length
+                or header != next_header
             ):
-                raise ValueError(f"refused npz member {info.filename!r}")
-            self.members[name] = info
+                raise zipfile.BadZipFile(f"refused zip entry {name!r}")
+            magic, local_name_length, local_extra_length = (
+                _LOCAL.unpack_from(data, header)
+            )
+            name_end = header + _LOCAL.size + local_name_length
+            start = name_end + local_extra_length
+            extra = data[name_end:start]
+            next_header = start + packed
+            if (
+                magic != b"PK\x03\x04"
+                or data[header + _LOCAL.size : name_end] != name
+                or extra
+                and not (len(extra) == 20 and extra.startswith(_ZIP64_TAG))
+                or next_header > offset
+            ):
+                raise zipfile.BadZipFile(f"refused local header {name!r}")
+            text = name.decode("ascii")
+            if not text.endswith(".npy") or text[:-4] in self.members:
+                raise ValueError(f"refused npz member {text!r}")
+            self.members[text[:-4]] = (start, packed, unpacked, crc)
+        if at != end or next_header != offset:
+            raise zipfile.BadZipFile("zip members do not tile the file")
 
     def array(self, name: str) -> np.ndarray:
-        raw = self._archive.read(self.members[name])
+        at, packed, unpacked, crc = self.members[name]
+        raw = zlib.decompress(self._data[at : at + packed], -15)
+        if len(raw) != unpacked or zlib.crc32(raw) != crc:
+            raise zipfile.BadZipFile(f"Bad CRC-32 or size for {name!r}")
         if raw[:8] != _NPY_MAGIC:
             raise ValueError(f"member {name!r} is not a version-1.0 .npy")
         start = 10 + int.from_bytes(raw[8:10], "little")
@@ -172,10 +240,10 @@ def cache_key(config: SimulationConfig, method: str, seed: int) -> str:
     values (``fixed_omega``, ``fixed_provider_satisfaction``) predate
     the convention and are serialized as ``null`` in every existing key.
     """
-    config_payload = dataclasses.asdict(config)
+    config_payload = _fields(config)
     config_payload["workload"] = {
         name: value
-        for name, value in config_payload["workload"].items()
+        for name, value in _fields(config.workload).items()
         if value is not None
     }
     for name in ("faults", "strategic"):
@@ -188,8 +256,21 @@ def cache_key(config: SimulationConfig, method: str, seed: int) -> str:
         "seed": int(seed),
         "config": config_payload,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=_fields
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _fields(instance) -> dict:
+    """One dataclass level as ``{field: value}``, nested values as they
+    are: ``json.dumps`` calls back here for each nested dataclass, so
+    the canonical string is ``dataclasses.asdict``'s without its deep
+    copy."""
+    return {
+        field.name: getattr(instance, field.name)
+        for field in dataclasses.fields(instance)
+    }
 
 
 @dataclasses.dataclass(frozen=True)

@@ -336,9 +336,11 @@ def fsck_queue(
             )
 
     # -- 8: every lease needs a live heartbeat ------------------------
+    # Judged as requeue_expired judges it: the owner exactly as the
+    # lease file names it, so an empty one is simply uncovered.
     for identifier in sorted(leases):
         for lease_path, owner in leases[identifier]:
-            deadline = queue.heartbeat_deadline(owner)
+            deadline = queue._heartbeat_deadline(owner)
             if deadline >= now:
                 continue
             fixed = False

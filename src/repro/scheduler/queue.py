@@ -812,7 +812,13 @@ class WorkQueue:
 
     def heartbeat_deadline(self, owner: str) -> float:
         """Public form of the deadline rule status readers must share,
-        so monitoring judges liveness exactly as the scavengers do."""
+        so monitoring judges liveness exactly as the scavengers do.
+
+        An owner that sanitises to nothing (the empty string) names no
+        heartbeat file, so it has no heartbeat: ``-inf``.
+        """
+        if not owner:
+            return float("-inf")
         return self._heartbeat_deadline(_sanitize(owner))
 
     def requeue_expired(self, now: float | None = None) -> list[str]:

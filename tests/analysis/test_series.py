@@ -10,8 +10,13 @@ applied sample by sample, on random NaN-riddled inputs.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.analysis.series import (
     CellRuns,
@@ -24,10 +29,47 @@ from repro.analysis.series import (
 )
 from repro.analysis.metrics import get_metric
 from repro.experiments.harness import average_series, run_repeated
-from repro.sweeps.aggregate import ci_halfwidth
+from repro.sweeps.aggregate import SUMMARY_QUANTILES, ci_halfwidth
 from repro.sweeps.runner import load_manifests, write_manifest
 
 N_TRIALS = 200
+
+#: Sample values with the ties and extremes a quantile can trip on;
+#: finite ones stay small enough that the band's variance cannot
+#: overflow.
+_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf]),
+    st.floats(-1e150, 1e150, allow_subnormal=True),
+)
+
+
+@st.composite
+def _stacks(draw) -> np.ndarray:
+    """A seeds x samples stack whose columns are each complete, ragged
+    (some seeds NaN) or all NaN."""
+    seeds = draw(st.integers(1, 6))
+    samples = draw(st.integers(0, 12))
+    stack = draw(hnp.arrays(np.float64, (seeds, samples), elements=_SAMPLES))
+    for column in range(samples):
+        kind = draw(st.sampled_from(("complete", "ragged", "all_nan")))
+        if kind == "all_nan":
+            stack[:, column] = np.nan
+        elif kind == "ragged":
+            rows = draw(
+                st.lists(st.integers(0, seeds - 1), min_size=1, unique=True)
+            )
+            stack[rows, column] = np.nan
+    return stack
+
+
+def _nanquantile_band(stack: np.ndarray) -> dict[float, np.ndarray]:
+    """``aggregate_band``'s quantiles in their original form: one
+    ``np.nanquantile`` over the whole stack per quantile."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return {
+            q: np.nanquantile(stack, q, axis=0) for q in SUMMARY_QUANTILES
+        }
 
 
 class TestCellDiscovery:
@@ -280,6 +322,30 @@ class TestAggregateBand:
                     )
             else:
                 assert np.array_equal(left, right, equal_nan=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_stacks())
+    @example(np.array([[1.0, -0.0, np.nan, np.inf]]))
+    @example(np.empty((3, 0)))
+    @example(np.array([[0.0, np.nan], [-0.0, np.nan], [0.0, 2.0]]))
+    def test_quantiles_are_the_nanquantile_form_bit_for_bit(self, stack):
+        per_seed = {100 + row: stack[row] for row in range(len(stack))}
+        _, quantiles, _ = aggregate_band(per_seed)
+        expected = _nanquantile_band(stack)
+        assert list(quantiles) == list(expected)
+        for q, values in expected.items():
+            assert quantiles[q].dtype == values.dtype
+            assert quantiles[q].tobytes() == values.tobytes(), q
+
+    def test_nan_free_stack_never_reaches_nanquantile(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.nanquantile on a NaN-free stack")
+
+        monkeypatch.setattr(np, "nanquantile", refuse)
+        stack = np.random.default_rng(7).normal(10.0, 5.0, size=(10, 40))
+        _, quantiles, _ = aggregate_band(dict(enumerate(stack)))
+        for q, values in quantiles.items():
+            assert values.tobytes() == np.quantile(stack, q, axis=0).tobytes()
 
     def test_empty_cell_degenerates_cleanly(self):
         mean, quantiles, halfwidth = aggregate_band({})

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import io
 import json
+import operator
 import os
+import struct
 import time
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +21,12 @@ from hypothesis.extra import numpy as hnp
 
 from repro.experiments import store as store_module
 from repro.experiments.store import ResultStore, cache_key
+from repro.model.strategic import StrategicSpec
 from repro.simulation.config import DepartureRules, WorkloadSpec, tiny_config
-from repro.simulation.engine import run_simulation
+from repro.simulation.engine import ENGINE_VERSION, run_simulation
+from repro.simulation.faults import FaultSpec, FlapSpec, OutageSpec
+from repro.simulation.trace import record_trace, replay_config
+from repro.sweeps.scenarios import SCALES, scenario_catalog
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +42,68 @@ def autonomous_result():
     return run_simulation(config, "capacity", seed=5)
 
 
+def _asdict_key(config, method: str, seed: int) -> str:
+    """``cache_key`` in its original form, through ``dataclasses.asdict``."""
+    config_payload = dataclasses.asdict(config)
+    config_payload["workload"] = {
+        name: value
+        for name, value in config_payload["workload"].items()
+        if value is not None
+    }
+    for name in ("faults", "strategic"):
+        if config_payload.get(name) is None:
+            config_payload.pop(name, None)
+    payload = {
+        "engine_version": ENGINE_VERSION,
+        "format_version": store_module._FORMAT_VERSION,
+        "method": str(method),
+        "seed": int(seed),
+        "config": config_payload,
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 class TestCacheKey:
+    def test_matches_the_asdict_form(self, tmp_path):
+        configs = [
+            scenario.config
+            for scale in SCALES
+            for scenario in scenario_catalog(scale).values()
+        ]
+        base = tiny_config(duration=40.0)
+        workloads = (
+            WorkloadSpec.fixed(0.4),
+            WorkloadSpec(),
+            WorkloadSpec.burst(base=0.4, peak=1.0, start=0.4, end=0.6),
+            WorkloadSpec.piecewise(((0.0, 0.4), (0.5, 0.9), (1.0, 0.4))),
+        )
+        for index, workload in enumerate(workloads):
+            config = base.with_workload(workload)
+            trace = tmp_path / f"trace{index}.json"
+            record_trace(config, "sqlb", 1, trace)
+            configs += [config, replay_config(config, trace)]
+        faults = FaultSpec(
+            outages=(OutageSpec(fraction=0.25, start=0.4, end=0.6),),
+            flaps=(FlapSpec(fraction=0.15, period=0.1),),
+        )
+        strategic = StrategicSpec(fraction=0.5, mode="exaggerate", gain=0.6)
+        configs += [
+            base.with_faults(faults).with_strategic(strategic),
+            base.with_faults(FaultSpec()),
+            base.with_strategic(strategic),
+        ]
+        assert {config.workload.kind for config in configs} == {
+            "fixed", "ramp", "burst", "piecewise", "trace",
+        }
+        assert any(c.faults and c.strategic for c in configs)
+        assert any(not (c.faults or c.strategic) for c in configs)
+        for config in configs:
+            for method, seed in (("sqlb", 1), ("knbest_score", 23)):
+                assert cache_key(config, method, seed) == _asdict_key(
+                    config, method, seed
+                )
+
     def test_stable_across_calls(self):
         config = tiny_config()
         assert cache_key(config, "sqlb", 1) == cache_key(config, "sqlb", 1)
@@ -420,12 +490,20 @@ def _npy(array: np.ndarray, **kwargs) -> bytes:
 
 
 def _zip(
-    members: dict[str, bytes], compression: int = zipfile.ZIP_DEFLATED
+    members: dict[str, bytes],
+    compression: int = zipfile.ZIP_DEFLATED,
+    **directory,
 ) -> bytes:
+    """``members`` as ``writestr`` writes them.  ``directory`` sets
+    ``ZipInfo`` attributes after the local headers are written, so they
+    reach the central directory alone."""
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", compression) as archive:
         for name, data in members.items():
             archive.writestr(name, data)
+        for info in archive.filelist:
+            for attribute, value in directory.items():
+                setattr(info, attribute, value)
     return buffer.getvalue()
 
 
@@ -434,11 +512,15 @@ def _members(payload: bytes) -> dict[str, bytes]:
         return {info.filename: archive.read(info) for info in archive.infolist()}
 
 
+def _flip(payload: bytes, at: int, mask: int) -> bytes:
+    return payload[:at] + bytes([payload[at] ^ mask]) + payload[at + 1 :]
+
+
 def _flip_directory_byte(payload: bytes, offset: int, mask: int) -> bytes:
     """The payload with one byte of its first zip directory entry
     flipped; the end record's last fields locate the directory."""
-    at = int.from_bytes(payload[-6:-2], "little") + offset
-    return payload[:at] + bytes([payload[at] ^ mask]) + payload[at + 1 :]
+    directory = int.from_bytes(payload[-6:-2], "little")
+    return _flip(payload, directory + offset, mask)
 
 
 def _bad_crc(payload: bytes) -> bytes:
@@ -447,6 +529,42 @@ def _bad_crc(payload: bytes) -> bytes:
 
 def _with_times(payload: bytes, times: bytes) -> bytes:
     return _zip({**_members(payload), "times.npy": times})
+
+
+def _with_comment(payload: bytes) -> bytes:
+    """The archive with the comment ``zipfile`` would write after its end
+    record."""
+    return payload[:-2] + struct.pack("<H", 4) + b"note"
+
+
+def _zip64_end(payload: bytes) -> bytes:
+    """The archive rebuilt with zip64 end records, as ``zipfile`` writes
+    them past 65,535 members."""
+    with mock.patch.object(zipfile, "ZIP_FILECOUNT_LIMIT", 0):
+        return _zip(_members(payload))
+
+
+def _zip64_local_headers(
+    payload: bytes, version: int, placeholders: bool
+) -> bytes:
+    """``put``'s archive with every local header in one interpreter's
+    form.  numpy writes each member with ``force_zip64``, which adds a
+    20-byte zip64 size record; beside it Python 3.10 keeps the real
+    sizes and version 20, 3.11 and later write 0xFFFFFFFF and version
+    45."""
+    out = bytearray(payload)
+    with zipfile.ZipFile(io.BytesIO(payload)) as archive:
+        for info in archive.infolist():
+            at = info.header_offset
+            assert struct.unpack_from("<H", out, at + 28) == (20,)
+            sizes = (
+                (0xFFFFFFFF, 0xFFFFFFFF)
+                if placeholders
+                else (info.compress_size, info.file_size)
+            )
+            struct.pack_into("<H", out, at + 4, version)
+            struct.pack_into("<LL", out, at + 18, *sizes)
+    return bytes(out)
 
 
 _TIMES = np.linspace(0.0, 40.0, 9)
@@ -471,7 +589,60 @@ _REFUSED = {
     "stored_members": lambda p: _zip(_members(p), zipfile.ZIP_STORED),
     "truncated": lambda p: p[: len(p) // 2],
     "zero_bytes": lambda p: b"",
+    "archive_comment": _with_comment,
+    "leading_bytes": lambda p: bytes(8) + p,
+    "trailing_bytes": lambda p: p + bytes(8),
+    "zip64_end_record": _zip64_end,
+    # An extended-timestamp field: tag "UT", 5 bytes, mtime only.
+    "directory_extra": lambda p: _zip(
+        _members(p), extra=b"UT\x05\x00\x01\x00\x00\x00\x00"
+    ),
+    "encrypted_flag": lambda p: _zip(_members(p), flag_bits=0x1),
+    "patch_flag": lambda p: _zip(_members(p), flag_bits=0x20),
+    "local_magic": lambda p: _flip(p, 0, 0xFF),
+    # "times.npy" becomes "Times.npy" in the first local header only.
+    "local_name": lambda p: _flip(p, 30, 0x20),
+    "offset_past_end": lambda p: _flip_directory_byte(p, 45, 0x80),
+    "size_past_end": lambda p: _flip_directory_byte(p, 23, 0x80),
 }
+
+#: The local-header forms ``put`` writes across Python versions, and
+#: the form ``writestr`` writes: no extra field at all.
+_ACCEPTED = {
+    "python_3_10": lambda p: _zip64_local_headers(p, 20, placeholders=False),
+    "python_3_11": lambda p: _zip64_local_headers(p, 45, placeholders=True),
+    "writestr": lambda p: _zip(_members(p)),
+}
+
+
+def _same_result(left, right) -> bool:
+    """Two results hold the same bytes: every array, scalar and record."""
+
+    def arrays(result) -> dict[str, bytes]:
+        return {
+            "times": result.times().tobytes(),
+            "response": np.array(
+                [result.response_time_mean, result.response_time_post_warmup]
+            ).tobytes(),
+            **{
+                f"series__{name}": result.series(name).tobytes()
+                for name in result.collector.names
+            },
+            **{
+                f"final__{name}": values.tobytes() + values.dtype.str.encode()
+                for name, values in result.final.items()
+            },
+        }
+
+    records = operator.attrgetter(
+        "departures",
+        "queries_issued",
+        "queries_served",
+        "queries_unserved",
+        "initial_providers",
+        "initial_consumers",
+    )
+    return arrays(left) == arrays(right) and records(left) == records(right)
 
 
 class TestReader:
@@ -538,6 +709,80 @@ class TestReader:
         assert store.load_series(config, "sqlb", 3) is None
         assert (store.hits, store.misses) == (1, 2)
         assert store.verify(deep=True).unreadable == (key,)
+
+    @pytest.mark.parametrize("form", sorted(_ACCEPTED))
+    def test_accepted_local_header_forms_are_identical_hits(
+        self, tmp_path, captive_result, form
+    ):
+        store = ResultStore(tmp_path)
+        key = store.put(captive_result)
+        npz = tmp_path / f"{key}.npz"
+        reference = store_module._Payload(npz)
+        expected = {name: reference.array(name) for name in reference.members}
+        npz.write_bytes(_ACCEPTED[form](npz.read_bytes()))
+        # zipfile reads the form too: it is a zip put can write.
+        with np.load(npz) as archive:
+            assert sorted(archive.files) == sorted(expected)
+        payload = store_module._Payload(npz)
+        assert list(payload.members) == list(expected)
+        for name, array in expected.items():
+            assert payload.array(name).tobytes() == array.tobytes()
+        loaded = store.get(captive_result.config, "sqlb", 3)
+        assert _same_result(loaded, captive_result)
+        assert store.verify(deep=True).clean
+
+    @pytest.fixture(scope="class")
+    def mutable_entry(self, tmp_path_factory, captive_result):
+        """A stored entry, its payload path and bytes, and the byte
+        offsets of the payload's zip records."""
+        root = tmp_path_factory.mktemp("mutations")
+        store = ResultStore(root)
+        npz = root / f"{store.put(captive_result)}.npz"
+        good = npz.read_bytes()
+        with zipfile.ZipFile(io.BytesIO(good)) as archive:
+            # Each local header: 30 fixed bytes, the name, the zip64
+            # record's 20.
+            headers = [
+                at
+                for info in archive.infolist()
+                for at in range(
+                    info.header_offset,
+                    info.header_offset + 30 + len(info.filename) + 20,
+                )
+            ]
+            directory = archive.start_dir
+        records = sorted(set(headers) | set(range(directory, len(good))))
+        return store, npz, good, records
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_flipped_or_truncated_payload_is_a_miss_or_identical_hit(
+        self, mutable_entry, captive_result, data
+    ):
+        store, npz, good, records = mutable_entry
+        # Half the positions fall in the zip records, where a flip can
+        # change the structure rather than only a member's CRC.
+        at = data.draw(
+            st.one_of(st.integers(0, len(good) - 1), st.sampled_from(records))
+        )
+        if data.draw(st.booleans(), label="truncate"):
+            mutated = good[:at]
+        else:
+            mutated = _flip(good, at, data.draw(st.integers(1, 255)))
+        npz.write_bytes(mutated)
+        config = captive_result.config
+        hits, misses = store.hits, store.misses
+        loaded = store.get(config, "sqlb", 3)
+        series = store.load_series(config, "sqlb", 3)
+        assert store.hits - hits == (loaded is not None) + (series is not None)
+        assert store.misses - misses == (loaded is None) + (series is None)
+        if loaded is not None:
+            assert _same_result(loaded, captive_result)
+        if series is not None:
+            assert series.times.tobytes() == captive_result.times().tobytes()
+            assert set(series.series) == set(captive_result.collector.names)
+            for name, values in series.series.items():
+                assert values.tobytes() == captive_result.series(name).tobytes()
 
     def test_bad_crc_is_caught_by_the_member_read(
         self, tmp_path, captive_result

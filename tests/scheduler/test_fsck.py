@@ -86,6 +86,22 @@ class TestLeaseInvariants:
         assert (queue.pending_dir / lease.job.id).exists()
         assert fsck_queue(queue).clean
 
+    def test_lease_with_an_empty_owner_is_uncovered(self, tmp_path):
+        # ``leases/<id>@`` names no heartbeat: fsck judges it as
+        # requeue_expired does, where it used to die sanitising "".
+        queue = make_queue(tmp_path)
+        lease = queue.claim("w", ttl=TTL)
+        ownerless = lease.path.with_name(f"{lease.job.id}@")
+        lease.path.rename(ownerless)
+        report = fsck_queue(queue)
+        assert kinds(report) == ["uncovered-lease"]
+        assert not report.violations[0].repaired
+        repaired = fsck_queue(queue, repair=True)
+        assert repaired.violations[0].repaired
+        assert not ownerless.exists()
+        assert (queue.pending_dir / lease.job.id).exists()
+        assert fsck_queue(queue).clean
+
     def test_expired_heartbeat_counts_as_uncovered(self, tmp_path):
         queue = make_queue(tmp_path)
         queue.claim("slow", ttl=TTL)

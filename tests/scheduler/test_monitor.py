@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.store import ResultStore
 from repro.scheduler.monitor import (
@@ -56,6 +58,20 @@ class TestQueueStatus:
         assert by_owner["alive"]["leases"] == 1
         assert not by_owner["stale"]["alive"]
         assert by_owner["stale"]["leases"] == 0
+
+    def test_heartbeat_with_an_empty_owner_is_dead(self, tmp_path):
+        # An owner that sanitises to nothing has no heartbeat file of
+        # its own: listed as dead, where status used to die on it.
+        queue = WorkQueue.init(tmp_path / "q", spec())
+        queue.heartbeat("w", TTL, now=1000.0)
+        path = queue.heartbeats_dir / "w.json"
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "owner": ""}))
+        [worker] = queue_status(queue, now=1000.0)["workers"]
+        assert worker["owner"] == ""
+        assert not worker["alive"] and worker["stale"]
+        assert queue.heartbeat_deadline("") == float("-inf")
+        assert "no" in format_queue_status(queue_status(queue, now=1000.0))
 
     def test_eta_extrapolates_mean_duration(self, tmp_path):
         queue = WorkQueue.init(tmp_path / "q", spec())
