@@ -94,9 +94,12 @@ class MariposaMethod(AllocationMethod):
             # are finite) lets top_selection's linear scan pick exactly
             # that, from the same jitter draw and in the same (bid,
             # jitter, index) order, without sorting every bid.
+            # The sink would hide a NaN offer, so it is checked first,
+            # at the first NaN argmax returns when there is one.
             offers = -bids
-            if qualified.any():
-                if np.isnan(offers).any():
+            if np.count_nonzero(qualified):
+                top = offers.item(offers.argmax())
+                if top != top:
                     raise ValueError("scores must not contain NaN")
                 offers = np.where(qualified, offers, -np.inf)
             return top_selection(

@@ -249,7 +249,9 @@ def aggregate_band(
     stacked = np.vstack([per_seed[seed] for seed in sorted(per_seed)])
     usable = ~np.isnan(stacked)
     counts = usable.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"), (
+    # An overflowing variance (finite samples beyond about 1e154) makes
+    # an inf half-width, which is the right answer.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"), (
         warnings.catch_warnings()
     ):
         warnings.filterwarnings(

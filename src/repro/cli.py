@@ -1610,7 +1610,7 @@ def _cmd_queue_status(args: argparse.Namespace) -> str:
         _open_queue(args), store_root=_resolve_cache_dir(args)
     )
     if args.json:
-        return json.dumps(status, sort_keys=True, indent=1)
+        return json.dumps(status, sort_keys=True, indent=1, allow_nan=False)
     return format_queue_status(status)
 
 
@@ -1618,7 +1618,7 @@ def _cmd_queue_top(args: argparse.Namespace) -> str:
     queue = _open_queue(args)
     frame = queue_top(queue)
     if args.json:
-        return json.dumps(frame, sort_keys=True, indent=1)
+        return json.dumps(frame, sort_keys=True, indent=1, allow_nan=False)
     if args.once:
         return format_queue_top(frame)
     # Live mode: redraw in place until the queue drains or ^C.  Frames

@@ -86,7 +86,15 @@ def top_selection(
     values = np.asarray(scores, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"scores must be 1-D, got shape {values.shape}")
-    if np.isnan(values).any():
+    if n_select == 1 and tie_break == "random" and values.size > 1:
+        # argmax returns the first NaN when there is one, so the value
+        # it points at is the whole NaN check of the linear scan below.
+        best = values.argmax()
+        top = values.item(best)
+        has_nan = top != top
+    else:
+        has_nan = np.isnan(values).any()
+    if has_nan:
         raise ValueError("scores must not contain NaN")
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
@@ -99,11 +107,10 @@ def top_selection(
         raise ValueError("random tie-breaking requires an rng")
     jitter = rng.random(values.size)
     if n_select == 1:
-        best = int(np.argmax(values))
-        ties = values == values[best]
+        ties = values == top
         if np.count_nonzero(ties) > 1:
             tied = np.flatnonzero(ties)
-            best = int(tied[np.argmin(jitter[tied])])
+            best = tied[np.argmin(jitter[tied])]
         return np.array([best])
     order = np.lexsort((jitter, -values))
     return order[:n_select]

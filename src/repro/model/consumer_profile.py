@@ -54,7 +54,7 @@ def query_adequation(intentions_to_candidates: Sequence[float]) -> float:
 
 
 def query_satisfaction(
-    intentions_to_selected: Sequence[float], n_desired: int
+    intentions_to_selected: float | Sequence[float], n_desired: int
 ) -> float:
     """Per-query satisfaction ``δs(c, q)`` (Equation 2).
 
@@ -70,23 +70,22 @@ def query_satisfaction(
     intentions_to_selected:
         ``CI_q[p]`` for every ``p ∈ P̂_q`` (the selected providers).  May
         be empty (no provider selected → satisfaction 0.5, i.e. the
-        neutral rescaling of a zero sum).
+        neutral rescaling of a zero sum).  A lone ``float`` is the one
+        selected provider's (always, at ``q.n = 1``).
     n_desired:
         ``q.n ≥ 1``.
     """
     if n_desired < 1:
         raise ValueError(f"q.n must be at least 1, got {n_desired}")
+    if type(intentions_to_selected) is float:
+        # The sum of one intention is that intention.
+        return (intentions_to_selected / n_desired + 1.0) / 2.0
     values = np.asarray(intentions_to_selected, dtype=float)
     if values.size > n_desired:
         raise ValueError(
             f"{values.size} providers selected but only {n_desired} desired"
         )
-    if values.size == 1:
-        # One selected provider (always, at q.n = 1): the sum of one
-        # element is that element.
-        total = values.item(0)
-    else:
-        total = float(values.sum()) if values.size else 0.0
+    total = float(values.sum()) if values.size else 0.0
     return (total / n_desired + 1.0) / 2.0
 
 

@@ -20,9 +20,10 @@ This module provides the storage for those sliding windows:
   per-channel mapping into it), so the whole-window sums move with
   single array operations.  The performed-only sums move just for the
   rows that evict or admit a performed entry, given as positions and
-  updated one by one as Python floats; window fill is tracked by a
-  shared count and a latch, so no push reduces over every row once the
-  windows are full.
+  updated one by one as Python floats, and the push hands the sums it
+  wrote back to the caller, so a per-row view needs no second read;
+  window fill is tracked by a shared count and a latch, so no push
+  reduces over every row once the windows are full.
 
 Running sums accumulate floating-point drift, so both classes refresh
 their sums from the raw buffer after a fixed number of pushes; tests
@@ -329,8 +330,8 @@ class RowRingLog:
             changed — rows that performed this interaction or evicted a
             performed one — as int64, in ``row_indices`` order.  (Every
             pushed row's whole-window sums change, so there is no point
-            reporting those.)  Callers maintaining performed-mean caches
-            only need to refresh these rows.
+            reporting those.)  :meth:`push_block` hands over their new
+            sums as well.
         """
         rows = np.asarray(row_indices, dtype=np.int64)
         if rows.size == 0:
@@ -347,7 +348,10 @@ class RowRingLog:
             if new.shape != rows.shape:
                 raise ValueError(f"channel {name!r} must align with row_indices")
             block[..., index] = new
-        return self.push_block(rows, block, performed.nonzero()[0])
+        moved = self.push_block(rows, block, performed.nonzero()[0])
+        if isinstance(moved, list):
+            return np.array([row for row, _, _ in moved], dtype=np.int64)
+        return moved
 
     def push_block(
         self,
@@ -373,8 +377,15 @@ class RowRingLog:
 
         Returns
         -------
-        numpy.ndarray
-            As for :meth:`push`.
+        list or numpy.ndarray
+            The rows whose *performed* running sums changed (as for
+            :meth:`push`), in ``row_indices`` order, with what the push
+            wrote for them: a list of ``(row, performed count, [performed
+            sum per channel])`` in Python numbers, so a caller keeping
+            per-row views of the performed means need not read them
+            back.  When so many rows changed that the push updated them
+            with full-width masks (more than ``_SPARSE_ROWS``), just
+            those rows, as an int64 array.
         """
         rows = np.asarray(row_indices, dtype=np.int64)
         n = rows.size
@@ -393,22 +404,21 @@ class RowRingLog:
             )
         admitted = positions.tolist()
         if n == 1:
-            dirty = self._apply_scalar_push(
+            _, _, moved = self._apply_scalar_push(
                 rows.item(0), new[0].tolist(), bool(admitted)
             )
-            dirty_rows = rows if dirty else self._empty_rows
         elif self._uniform_slot is not None and self._is_all_rows(rows):
             # Global lockstep: the slot is known without touching _pos.
-            dirty_rows = self._push_uniform_slot(
+            moved = self._push_uniform_slot(
                 rows, self._uniform_slot, new, admitted, all_rows=True
             )
         else:
-            dirty_rows = self._push_many(rows, new, admitted)
+            moved = self._push_many(rows, new, admitted)
 
         self._pushes += 1
         if self._pushes % _RESYNC_INTERVAL == 0:
             self._resync()
-        return dirty_rows
+        return moved
 
     def _is_all_rows(self, rows: np.ndarray) -> bool:
         if rows.size != self._rows:
@@ -464,7 +474,7 @@ class RowRingLog:
             # Positions are rows.  ``plane`` is a live view: consumed
             # before the overwrite.
             evicted = flags.nonzero()[0].tolist()
-            dirty = self._push_performed(
+            moved = self._push_performed(
                 rows, slot, plane, evicted, new, admitted
             )
             self._sum_all -= plane
@@ -473,10 +483,10 @@ class RowRingLog:
             if not self._all_full:
                 self._count_pushed(rows, all_rows=True)
             self._uniform_slot = next_slot
-            return dirty
+            return moved
         old = plane[rows]
         evicted = flags[rows].nonzero()[0].tolist()
-        dirty = self._push_performed(rows, slot, old, evicted, new, admitted)
+        moved = self._push_performed(rows, slot, old, evicted, new, admitted)
         self._sum_all[rows] -= old
         plane[rows] = new
         self._sum_all[rows] += new
@@ -484,7 +494,7 @@ class RowRingLog:
             self._count_pushed(rows, all_rows=False)
         self._pos[rows] = next_slot
         self._uniform_slot = None
-        return dirty
+        return moved
 
     def _push_scattered(
         self,
@@ -501,7 +511,7 @@ class RowRingLog:
         self.scattered_pushes += 1
         old = self._data[pos, rows]
         evicted = self._performed[pos, rows].nonzero()[0].tolist()
-        dirty = self._push_performed(rows, pos, old, evicted, new, admitted)
+        moved = self._push_performed(rows, pos, old, evicted, new, admitted)
         # Evict the outgoing entry, then add the incoming one; the
         # channel axis rides along contiguously.
         self._sum_all[rows] -= old
@@ -510,7 +520,7 @@ class RowRingLog:
         if not self._all_full:
             self._count_pushed(rows, all_rows=False)
         self._pos[rows] = (pos + 1) % self._capacity
-        return dirty
+        return moved
 
     def _sync_positions(self) -> None:
         # In global lockstep every row sits at _uniform_slot and the
@@ -558,8 +568,9 @@ class RowRingLog:
         # admits with the dense form's IEEE operations in the same
         # order, and is written back; when so many changed that one
         # masked full-width update is cheaper (the warm-start slot
-        # evicting every row), that runs instead.  Returns the changed
-        # rows, in ``rows`` order.
+        # evicting every row), that runs instead.  Returns what
+        # push_block hands over: (row, count, sums) per changed row, in
+        # ``rows`` order, or on the masked path the changed rows.
         if len(evicted) + len(admitted) > _SPARSE_ROWS:
             old_performed = np.zeros(rows.size, dtype=bool)
             old_performed[evicted] = True
@@ -581,11 +592,12 @@ class RowRingLog:
         flags = self._performed
         shared = isinstance(slots, int)
         channels = self._channel_range
-        changed = []
+        moved = []
         for at in sorted({*evicted, *admitted}) if evicted else sorted(admitted):
             row = rows.item(at)
             evicts = at in evicted
             performs = at in admitted
+            totals = []
             for index in channels:
                 total = sums.item(row, index)
                 if evicts:
@@ -593,44 +605,49 @@ class RowRingLog:
                 if performs:
                     total += new.item(at, index)
                 sums[row, index] = total
-            counts[row] = counts.item(row) + performs - evicts
+                totals.append(total)
+            count = counts.item(row) + performs - evicts
+            counts[row] = count
             flags[slots if shared else slots.item(at), row] = performs
-            changed.append(row)
-        return np.array(changed, dtype=np.int64)
+            moved.append((row, count, totals))
+        return moved
 
     def push_scalar(
         self, row: int, values: Sequence[float], performed: bool
-    ) -> bool:
+    ) -> tuple[int, list[float], list]:
         """Scalar push of one row, values given in channel order.
 
         The cheapest way to record a single participant's interaction
         (every consumer query): no index arrays, no per-channel dict of
         singleton arrays.  Arithmetic and resync cadence are identical
-        to :meth:`push` with one row.  Returns whether the performed
-        running sums moved (the row performed or evicted a performed
-        entry).
+        to :meth:`push` with one row.  Returns what the push wrote:
+        ``(count, sums, moved)``, the row's window count and
+        whole-window sums (channel order) after the push, and ``moved``
+        as :meth:`push_block` returns it — ``[(row, performed count,
+        performed sums)]`` when the row performed or evicted a
+        performed entry, else empty.
         """
         if len(values) != len(self._channels):
             raise ValueError(
                 f"expected {len(self._channels)} channel values, "
                 f"got {len(values)}"
             )
-        dirty = self._apply_scalar_push(row, values, performed)
+        pushed = self._apply_scalar_push(row, values, performed)
         self._pushes += 1
         if self._pushes % _RESYNC_INTERVAL == 0:
             self._resync()
-        return dirty
+        return pushed
 
     def _apply_scalar_push(
         self, row: int, values: Sequence[float], performed: bool
-    ) -> bool:
+    ) -> tuple[int, list[float], list]:
         # Scalar core shared by push_scalar and single-row pushes: the
         # row's slot and sums are read once as Python floats and take
         # the same evict-old-then-add-new operations in the same order
         # as the vector paths, so they stay bit-identical while skipping
         # numpy's per-element read arithmetic.  An unfilled slot holds
-        # 0.0 and False, so it evicts nothing.  Returns whether the
-        # performed sums moved.
+        # 0.0 and False, so it evicts nothing.  Returns what push_scalar
+        # does.
         self.scalar_pushes += 1
         self._sync_positions()
         pos = self._pos.item(row)
@@ -641,30 +658,32 @@ class RowRingLog:
         totals = sum_all.tolist()
         # The performed sums move only if the row performs or evicts a
         # performed entry (never, for a log that records none).
-        moved = old_performed or performed
-        if moved:
+        moves = old_performed or performed
+        if moves:
             sum_performed = self._sum_performed[row]
             performed_totals = sum_performed.tolist()
         for index, value in enumerate(values):
             new = float(value)
             old = olds[index]
             slot[index] = new
-            sum_all[index] = (totals[index] - old) + new
-            if moved:
+            total = (totals[index] - old) + new
+            sum_all[index] = totals[index] = total
+            if moves:
                 total = performed_totals[index]
                 if old_performed:
                     total -= old
                 if performed:
                     total += new
-                sum_performed[index] = total
+                sum_performed[index] = performed_totals[index] = total
         if performed != old_performed:
             self._count_performed[row] += 1 if performed else -1
             self._performed[pos, row] = performed
         count = self._count.item(row)
         if count < self._capacity:
-            self._count[row] = count + 1
+            count += 1
+            self._count[row] = count
             self._fill = None
-            if count + 1 == self._capacity:
+            if count == self._capacity:
                 # This window just filled; it may have been the last.
                 self._all_full = bool((self._count == self._capacity).all())
         self._pos[row] = (pos + 1) % self._capacity
@@ -672,7 +691,10 @@ class RowRingLog:
             self._uniform_slot = None
         else:
             self._uniform_slot = (pos + 1) % self._capacity
-        return moved
+        if moves:
+            performed_count = self._count_performed.item(row)
+            return count, totals, [(row, performed_count, performed_totals)]
+        return count, totals, []
 
     def push_all_rows(
         self, values: dict[str, np.ndarray], performed: np.ndarray
@@ -700,37 +722,6 @@ class RowRingLog:
         nonempty = self._count_performed > 0
         out[nonempty] = sums[nonempty] / self._count_performed[nonempty]
         return out
-
-    def mean_performed_rows(
-        self, channel: str, rows: np.ndarray, default: float = 0.0
-    ) -> np.ndarray:
-        """:meth:`mean_performed` restricted to ``rows``."""
-        sums = self._sum_performed[rows, self._channel_index[channel]]
-        counts = self._count_performed[rows]
-        out = np.full(rows.shape, default, dtype=float)
-        nonempty = counts > 0
-        out[nonempty] = sums[nonempty] / counts[nonempty]
-        return out
-
-    def row_means_all(self, row: int, default: float = 0.0) -> list[float]:
-        """:meth:`mean_all` of one row, every channel, in channel order.
-
-        Python floats from the same IEEE division as the array method,
-        for callers refreshing a single row of a derived view.
-        """
-        count = self._count.item(row)
-        if count == 0:
-            return [default] * len(self._channels)
-        return [total / count for total in self._sum_all[row].tolist()]
-
-    def row_means_performed(
-        self, row: int, default: float = 0.0
-    ) -> list[float]:
-        """:meth:`mean_performed` of one row, every channel, in channel order."""
-        count = self._count_performed.item(row)
-        if count == 0:
-            return [default] * len(self._channels)
-        return [total / count for total in self._sum_performed[row].tolist()]
 
     def row_values(self, row: int, channel: str) -> np.ndarray:
         """The remembered values of one row/channel, oldest first."""

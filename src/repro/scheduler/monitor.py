@@ -19,6 +19,7 @@ static sweep.
 from __future__ import annotations
 
 import json
+import math
 import time
 
 from repro.analysis.series import CellRuns
@@ -154,15 +155,17 @@ def queue_status(
         if alive:
             live_workers += 1
         # The deadline is the last renewal plus the recorded TTL, so
-        # the renewal's age falls straight out of it.
+        # the renewal's age falls straight out of it.  A heartbeat with
+        # no usable deadline (-inf) has neither: null, as for the
+        # retired rows of queue_top, never a non-JSON infinity.
         ttl = float(heartbeat.get("ttl", 0.0))
         workers.append(
             {
                 "owner": owner,
                 "alive": alive,
                 "stale": not alive,
-                "deadline_in_s": round(deadline - now, 3),
-                "heartbeat_age_s": round(now - (deadline - ttl), 3),
+                "deadline_in_s": _finite_or_none(deadline - now),
+                "heartbeat_age_s": _finite_or_none(now - (deadline - ttl)),
                 "leases": lease_owners.get(owner, 0),
                 "counters": worker_counters.get(owner),
             }
@@ -217,6 +220,10 @@ def queue_status(
     return status
 
 
+def _finite_or_none(seconds: float) -> float | None:
+    return round(seconds, 3) if math.isfinite(seconds) else None
+
+
 def format_queue_status(status: dict) -> str:
     """The human rendering of one :func:`queue_status` payload."""
     counts = status["counts"]
@@ -245,11 +252,16 @@ def format_queue_status(status: dict) -> str:
     if status["workers"]:
         lines.append(f"{'worker':<40} {'alive':>5} {'leases':>6} {'ttl':>8}")
         for worker in status["workers"]:
+            deadline_in = worker["deadline_in_s"]
             lines.append(
                 f"{worker['owner']:<40} "
                 f"{'yes' if worker['alive'] else 'no':>5} "
                 f"{worker['leases']:>6} "
-                f"{worker['deadline_in_s']:>7.0f}s"
+                + (
+                    f"{deadline_in:>7.0f}s"
+                    if deadline_in is not None
+                    else f"{'-':>8}"
+                )
             )
     for row in status.get("manifests", []):
         source = (

@@ -753,11 +753,16 @@ class MediatorSimulation:
             hook("ranking")
 
         positions = np.asarray(self.method.select(request), dtype=np.int64)
-        self._validate_selection(positions, request)
-        selected = candidates[positions]
+        position = self._validate_selection(positions, request)
         for hook in on_phase:
             hook("log_push")
 
+        # At q.n = 1 (every experiment of the paper) the one chosen
+        # provider travels as a Python int and its figures as floats.
+        if position is not None:
+            selected = candidates.item(position)
+        else:
+            selected = candidates[positions]
         completions = self.queues.assign(selected, query.cost_units, time)
         response = self.queues.response_time(completions, time)
         self._record_response(response, time)
@@ -769,10 +774,14 @@ class MediatorSimulation:
         )
         # Equation 2 reads only the chosen intentions: clip those alone,
         # as Python floats (the comparisons are the min/max clip).
-        chosen = [
-            -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
-            for value in consumer_intentions[positions].tolist()
-        ]
+        if position is not None:
+            value = consumer_intentions.item(position)
+            chosen = -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
+        else:
+            chosen = [
+                -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
+                for value in consumer_intentions[positions].tolist()
+            ]
         satisfaction = query_satisfaction(chosen, query.n_desired)
         self.consumers.record_query(consumer, adequation, satisfaction)
         self.providers.record_proposals(
@@ -844,7 +853,9 @@ class MediatorSimulation:
     @staticmethod
     def _validate_selection(
         positions: np.ndarray, request: AllocationRequest
-    ) -> None:
+    ) -> int | None:
+        """Refuse a malformed selection; the position as an ``int`` when
+        exactly one provider is selected, else ``None``."""
         expected = request.n_to_select
         if positions.size != expected:
             raise ValueError(
@@ -854,10 +865,10 @@ class MediatorSimulation:
         if positions.size == 1:
             # Fast path for the paper's q.n = 1: no duplicate check (a
             # singleton cannot repeat) and scalar range comparisons.
-            position = positions[0]
+            position = positions.item(0)
             if position < 0 or position >= request.n_candidates:
                 raise ValueError("selection out of candidate range")
-            return
+            return position
         if positions.size and (
             positions.min() < 0 or positions.max() >= request.n_candidates
         ):

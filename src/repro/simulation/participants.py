@@ -12,14 +12,16 @@ Each view is refreshed as often as it is read.  A pushed proposal
 changes every touched row's whole-window mean but only changes the
 performed-only mean of the rows that performed it or evicted a
 performed entry — a handful per query.  The satisfaction views, read on
-every arrival, are therefore refreshed eagerly on exactly those dirty
-rows (for a consumer, its one row); the adequation views of both pools,
-read only by samples, departure checks and the final arrays, are marked
-stale on every push and rebuilt wholesale when read.  Both refresh
-paths apply the same elementwise arithmetic as a wholesale recompute,
-so the views are bit-identical to the pre-cache behaviour; when the
-underlying log resyncs its running sums (drift cancellation),
-everything is rebuilt wholesale.
+every arrival, are therefore written eagerly on exactly those rows (for
+a consumer, its one row), from the sums and counts the push hands back;
+the adequation views of both pools, read only by samples, departure
+checks and the final arrays, are marked stale on every push and rebuilt
+wholesale when read.  Every refresh applies the same elementwise
+arithmetic as a wholesale recompute, so the views are bit-identical to
+the pre-cache behaviour.  When the log updated many rows with full-width
+masks instead of handing their sums back, the provider satisfaction
+views are rebuilt wholesale; when it resyncs its running sums (drift
+cancellation), everything is.
 
 :meth:`ProviderPool.record_proposals` owns the clip of the raw
 Definition 8 intentions: it clips them straight into a preallocated
@@ -118,19 +120,20 @@ class ConsumerPool:
         # Channel order matches the log's ("adequation", "satisfaction").
         # Definitions 1-2 average over every issued query, so the log
         # keeps no performed subset for consumers: nothing reads one.
-        self._log.push_scalar(
+        count, (_, total), _ = self._log.push_scalar(
             consumer, (adequation, satisfaction), performed=False
         )
         if self._log.generation != self._generation:
             self._refresh_all()
             return
         # The satisfaction view is read on every arrival, so its one
-        # dirty row is refreshed now; the adequation view is read only
-        # by samples, departure checks and the final arrays, so it is
-        # rebuilt then.  The comparisons are np.clip on the finite
+        # dirty row is written now, from the sum and count the push
+        # wrote (never zero after a push); the adequation view is read
+        # only by samples, departure checks and the final arrays, so it
+        # is rebuilt then.  The comparisons are np.clip on the finite
         # means the view holds.
         self._adequation_stale = True
-        _, mean = self._log.row_means_all(consumer, default=self._initial)
+        mean = total / count
         self._satisfaction_view[consumer] = (
             0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
         )
@@ -304,7 +307,7 @@ class ProviderPool:
         np.maximum(intentions, -1.0, out=shown)
         np.minimum(shown, 1.0, out=shown)
         preferred[...] = preferences
-        dirty = self._log.push_block(providers, block, performed_at)
+        moved = self._log.push_block(providers, block, performed_at)
         if self._log.generation != self._generation:
             self._refresh_all()
             return
@@ -313,10 +316,22 @@ class ProviderPool:
         # or departure check).  The performed-only means moved just for
         # the rows push reported — the providers that performed this
         # query or evicted a performed entry — so the satisfaction
-        # views, read on every arrival, refresh only those.
+        # views, read on every arrival, take those rows' new means from
+        # the sums and counts the push wrote.  The comparisons are
+        # np.clip on the finite values the views hold; an empty window
+        # reads -1, i.e. 0 after the rescale.
         self._adequation_stale = True
-        if dirty.size:
-            self._refresh_satisfaction_rows(dirty)
+        if isinstance(moved, list):
+            columns = self._satisfaction_columns
+            for row, count, sums in moved:
+                for view, total in zip(columns, sums):
+                    value = (total / count + 1.0) / 2.0 if count else 0.0
+                    view[row] = (
+                        0.0 if value < 0.0 else 1.0 if value > 1.0 else value
+                    )
+        elif moved.size:
+            # A masked full-width push hands over its rows alone.
+            self._refresh_satisfactions()
 
     def push_stats(self) -> dict[str, int]:
         """The underlying ring log's push-path tallies."""
@@ -324,6 +339,11 @@ class ProviderPool:
 
     def _refresh_all(self) -> None:
         self.view_rebuilds += 1
+        self._refresh_satisfactions()
+        self._refresh_adequations()
+        self._generation = self._log.generation
+
+    def _refresh_satisfactions(self) -> None:
         self._satisfaction_views = {}
         for basis in self._BASES:
             # Running-sum drift can nudge a mean a few ulps outside
@@ -336,8 +356,6 @@ class ProviderPool:
         self._satisfaction_columns = tuple(
             self._satisfaction_views[basis] for basis in self._log.channels
         )
-        self._refresh_adequations()
-        self._generation = self._log.generation
 
     def _refresh_adequations(self) -> None:
         self.view_rebuilds += 1
@@ -348,29 +366,6 @@ class ProviderPool:
                 (means_all + 1.0) / 2.0, 0.0, 1.0
             )
         self._adequation_stale = False
-
-    def _refresh_satisfaction_rows(self, rows: np.ndarray) -> None:
-        if rows.size <= 8:
-            # The dirty set is almost always just the selected provider
-            # plus the odd performed-entry eviction: Python-float
-            # arithmetic beats assembling masked subset arrays.  The
-            # comparisons are np.clip on the finite means the views hold.
-            log = self._log
-            for row in rows.tolist():
-                for view, mean in zip(
-                    self._satisfaction_columns,
-                    log.row_means_performed(row, default=-1.0),
-                ):
-                    value = (mean + 1.0) / 2.0
-                    view[row] = (
-                        0.0 if value < 0.0 else 1.0 if value > 1.0 else value
-                    )
-            return
-        for basis in self._BASES:
-            means = self._log.mean_performed_rows(basis, rows, default=-1.0)
-            self._satisfaction_views[basis][rows] = np.clip(
-                (means + 1.0) / 2.0, 0.0, 1.0
-            )
 
     def _adequation_view(self, basis: str) -> np.ndarray:
         if self._adequation_stale:

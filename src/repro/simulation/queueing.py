@@ -72,31 +72,31 @@ class ProviderQueues:
         return wait + service
 
     def assign(
-        self, providers: np.ndarray, cost_units: float, now: float
-    ) -> np.ndarray:
+        self, providers: int | np.ndarray, cost_units: float, now: float
+    ) -> float | np.ndarray:
         """Enqueue one query at each selected provider.
 
         Returns the per-provider completion times.  The same query going
         to several providers (``q.n > 1``) is executed independently by
-        each of them.
+        each of them.  A single provider given as an ``int`` (the
+        paper's ``q.n = 1``) gets its completion time back as a float.
         """
+        if cost_units <= 0:
+            raise ValueError(f"cost must be positive, got {cost_units}")
+        if type(providers) is int:
+            # Scalar path (identical arithmetic: the conditional is
+            # max(), float ops are the same IEEE ops).
+            busy = self._busy_until.item(providers)
+            start = busy if busy > now else now
+            service = cost_units / self._capacities.item(providers)
+            completion = start + service
+            self._busy_until[providers] = completion
+            self._completed[providers] += 1
+            self._busy_time[providers] += service
+            return completion
         providers = np.asarray(providers, dtype=np.int64)
         if providers.size == 0:
             raise ValueError("cannot assign a query to zero providers")
-        if cost_units <= 0:
-            raise ValueError(f"cost must be positive, got {cost_units}")
-        if providers.size == 1:
-            # Scalar path for the paper's q.n = 1 (identical arithmetic:
-            # the conditional is max(), float ops are the same IEEE ops).
-            provider = providers.item(0)
-            busy = self._busy_until.item(provider)
-            start = busy if busy > now else now
-            service = cost_units / self._capacities.item(provider)
-            completion = start + service
-            self._busy_until[provider] = completion
-            self._completed[provider] += 1
-            self._busy_time[provider] += service
-            return np.array([completion])
         starts = np.maximum(self._busy_until[providers], now)
         service = cost_units / self._capacities[providers]
         completions = starts + service
@@ -105,10 +105,13 @@ class ProviderQueues:
         self._busy_time[providers] += service
         return completions
 
-    def response_time(self, completions: np.ndarray, issued_at: float) -> float:
-        """Consumer-observed response time for one query's completions."""
-        if completions.size == 1:
-            return completions.item(0) - issued_at
+    def response_time(
+        self, completions: float | np.ndarray, issued_at: float
+    ) -> float:
+        """Consumer-observed response time for one query's completions
+        (as :meth:`assign` returned them)."""
+        if type(completions) is float:
+            return completions - issued_at
         return float(np.max(completions) - issued_at)
 
     def completed_counts(self) -> np.ndarray:

@@ -99,7 +99,7 @@ class UtilizationTracker:
 
     def assign(
         self,
-        providers: np.ndarray,
+        providers: int | np.ndarray,
         units: float | np.ndarray,
         assume_unique: bool = False,
     ) -> None:
@@ -108,20 +108,20 @@ class UtilizationTracker:
         ``assume_unique=True`` lets a caller that guarantees distinct
         provider indices (the engine validates its selection) skip the
         duplicate-safe ``ufunc.at`` scatter for plain fancy-indexed
-        accumulation, which adds identically for distinct indices.
+        accumulation, which adds identically for distinct indices.  A
+        single provider may be given as an ``int`` (the paper's
+        ``q.n = 1``).
         """
+        if type(providers) is int and type(units) is float:
+            self._work[providers, self._current_bin] += units
+            self._row_sums[providers] += units
+            return
         providers = np.asarray(providers, dtype=np.int64)
         if providers.size == 0:
             return
         if assume_unique and (type(units) is float or np.ndim(units) == 0):
-            if providers.size == 1:
-                # Scalar path for single-provider assignments (q.n = 1).
-                provider = providers.item(0)
-                self._work[provider, self._current_bin] += units
-                self._row_sums[provider] += units
-            else:
-                self._work[providers, self._current_bin] += units
-                self._row_sums[providers] += units
+            self._work[providers, self._current_bin] += units
+            self._row_sums[providers] += units
             return
         units_arr = np.broadcast_to(
             np.asarray(units, dtype=float), providers.shape

@@ -197,18 +197,38 @@ class TestMariposa:
         np.testing.assert_array_equal(selected, expected)
         assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
 
-    @pytest.mark.parametrize(
-        # Qualified, disqualified beside a qualified bid, all disqualified.
-        "backlog", [[0.0, 0.0], [100.0, 0.0], [100.0, 100.0]]
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                # (preference, backlog): a tied or distinct bid, under
+                # the bid curve or over it.
+                st.sampled_from([-1.0, 0.5, 0.5, 1.0]),
+                st.sampled_from([0.0, 100.0]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        # NaN preferences, by lane (taken modulo the lane count).
+        nan_at=st.lists(st.integers(min_value=0, max_value=11), min_size=1),
+        tie_break=st.sampled_from(["random", "index"]),
     )
-    def test_nan_bids_raise(self, backlog):
+    # Qualified, disqualified beside a qualified bid, all disqualified.
+    @example(lanes=[(0.5, 0.0), (0.5, 0.0)], nan_at=[0], tie_break="random")
+    @example(lanes=[(0.5, 100.0), (0.5, 0.0)], nan_at=[0], tie_break="random")
+    @example(lanes=[(0.5, 100.0), (0.5, 100.0)], nan_at=[0], tie_break="random")
+    @settings(max_examples=100)
+    def test_nan_bids_raise(self, lanes, nan_at, tie_break):
+        """At q.n = 1 a NaN bid anywhere, qualified or not, is refused."""
+        preferences, backlog = (list(column) for column in zip(*lanes))
+        for position in nan_at:
+            preferences[position % len(lanes)] = float("nan")
         request = make_request(
-            provider_preferences=[float("nan"), 0.5],
+            provider_preferences=preferences,
             backlog=backlog,
-            n_providers=2,
+            n_providers=len(lanes),
         )
-        with pytest.raises(ValueError, match="NaN"):
-            MariposaMethod().select(request)
+        with pytest.raises(ValueError, match="scores must not contain NaN"):
+            MariposaMethod(tie_break=tie_break).select(request)
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):

@@ -347,6 +347,20 @@ class TestAggregateBand:
         for q, values in quantiles.items():
             assert values.tobytes() == np.quantile(stack, q, axis=0).tobytes()
 
+    def test_overflowing_variance_gives_an_inf_halfwidth(self):
+        per_seed = {
+            1: np.array([1e300, 2.0]),
+            2: np.array([-1e300, 3.0]),
+            3: np.array([5e299, 4.0]),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, quantiles, halfwidth = aggregate_band(per_seed)
+        assert np.isfinite(mean).all()
+        assert halfwidth[0] == np.inf
+        assert halfwidth[1] == pytest.approx(ci_halfwidth([2.0, 3.0, 4.0]))
+        assert quantiles[0.5].tolist() == [5e299, 3.0]
+
     def test_empty_cell_degenerates_cleanly(self):
         mean, quantiles, halfwidth = aggregate_band({})
         assert mean.size == 0

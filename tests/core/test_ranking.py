@@ -77,28 +77,46 @@ class TestSelectTop:
             select_top(np.array([0]), 0)
 
 
+#: A tiny value set forces heavy ties, the case where the linear-scan
+#: fast path could diverge from the full sort; the infinities sit at
+#: both ends of it.
+TIED_SCORES = st.sampled_from([-np.inf, -1.5, -0.25, 0.0, 0.7, 0.7, 1.0, np.inf])
+
+
+@st.composite
+def scores_with_nan(draw):
+    """Scores with a NaN at one position, at several, or at every one."""
+    scores = draw(st.lists(TIED_SCORES, min_size=1, max_size=25))
+    where = draw(st.sampled_from(("one", "several", "every")))
+    if where == "every":
+        at = range(len(scores))
+    else:
+        positions = st.integers(min_value=0, max_value=len(scores) - 1)
+        at = draw(
+            st.lists(positions, min_size=1, max_size=1 if where == "one" else 5)
+        )
+    for position in at:
+        scores[position] = np.nan
+    return np.array(scores)
+
+
 class TestTopSelection:
     @given(
-        scores=st.lists(
-            # A tiny value set forces heavy ties, the case where the
-            # linear-scan fast path could diverge from the full sort.
-            st.sampled_from([-1.5, -0.25, 0.0, 0.7, 0.7, 1.0]),
-            min_size=1,
-            max_size=25,
-        ),
+        scores=st.lists(TIED_SCORES, min_size=1, max_size=25),
         n_select=st.integers(min_value=1, max_value=5),
+        tie_break=st.sampled_from(["random", "index"]),
         seed=st.integers(min_value=0, max_value=50),
     )
     @settings(max_examples=150)
     def test_matches_full_ranking_slice_and_rng_stream(
-        self, scores, n_select, seed
+        self, scores, n_select, tie_break, seed
     ):
         """Property: top_selection ≡ rank_providers[:n], same RNG use."""
         values = np.array(scores)
         rng_full = np.random.default_rng(seed)
         rng_top = np.random.default_rng(seed)
-        full = rank_providers(values, rng=rng_full)
-        top = top_selection(values, n_select, rng=rng_top)
+        full = rank_providers(values, rng=rng_full, tie_break=tie_break)
+        top = top_selection(values, n_select, rng=rng_top, tie_break=tie_break)
         np.testing.assert_array_equal(
             top, full[: min(n_select, values.size)]
         )
@@ -107,6 +125,28 @@ class TestTopSelection:
         assert (
             rng_full.bit_generator.state == rng_top.bit_generator.state
         )
+
+    @given(
+        scores=scores_with_nan(),
+        n_select=st.integers(min_value=1, max_value=5),
+        tie_break=st.sampled_from(["random", "index"]),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    @settings(max_examples=150)
+    def test_nan_anywhere_raises_on_every_path(
+        self, scores, n_select, tie_break, seed
+    ):
+        """A NaN is refused before anything else is checked or drawn."""
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        for generator, policy in (
+            (rng, tie_break),
+            (None, tie_break),  # before the missing-rng error
+            (rng, "alphabetical"),  # before the unknown-policy error
+        ):
+            with pytest.raises(ValueError, match="scores must not contain NaN"):
+                top_selection(scores, n_select, rng=generator, tie_break=policy)
+        assert rng.bit_generator.state == state
 
     def test_index_tie_break_takes_first_maximum(self):
         scores = np.array([0.5, 0.9, 0.9, 0.1])

@@ -70,6 +70,15 @@ class TestQuerySatisfaction:
             query_satisfaction([0.5], n_desired=0)
 
     @given(
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.integers(min_value=1, max_value=25),
+    )
+    def test_lone_float_is_a_one_provider_selection(self, intention, n_desired):
+        assert query_satisfaction(intention, n_desired) == query_satisfaction(
+            [intention], n_desired
+        )
+
+    @given(
         intention_lists,
         st.integers(min_value=1, max_value=25),
     )

@@ -353,8 +353,8 @@ class TestRowRingLogBulkPaths:
                 {"a": np.array([a]), "b": np.array([b])},
                 performed=np.array([performed]),
             )
-            dirty = via_scalar.push_scalar(row, (a, b), performed)
-            assert dirty == bool(returned.size)
+            _, _, moved = via_scalar.push_scalar(row, (a, b), performed)
+            assert [changed for changed, _, _ in moved] == returned.tolist()
         for channel in ("a", "b"):
             assert np.array_equal(
                 via_push.mean_all(channel), via_scalar.mean_all(channel)
@@ -418,14 +418,14 @@ class TestRowRingLogBlockPushes:
             positions = rng.permutation(rows.size)[: step % 3]
             mask = np.zeros(rows.size, dtype=bool)
             mask[positions] = True
-            dirty = via_block.push_block(rows, values, positions)
+            moved = via_block.push_block(rows, values, positions)
             expected = via_mapping.push(
                 rows, {"a": values[:, 0], "b": values[:, 1]}, performed=mask
             )
             # Changed rows come back in ``rows`` order, however the
             # positions were ordered.
-            assert dirty.tolist() == expected.tolist()
-            assert dirty.dtype == np.int64
+            assert [row for row, _, _ in moved] == expected.tolist()
+            assert expected.dtype == np.int64
         for channel in ("a", "b"):
             assert np.array_equal(
                 via_block.mean_performed(channel), via_mapping.mean_performed(channel)

@@ -64,6 +64,28 @@ class TestProviderQueues:
         assert queues.completed_counts().tolist() == [2, 0]
         assert queues.busy_seconds()[0] == pytest.approx(2.0)
 
+    def test_single_int_provider_matches_the_array_form(self):
+        """q.n = 1's scalar path: a float completion, the same state."""
+        scalar = ProviderQueues(np.array([100.0, 50.0]))
+        vector = ProviderQueues(np.array([100.0, 50.0]))
+        for provider, now in ((1, 0.0), (1, 0.5), (0, 3.0), (1, 10.0)):
+            completion = scalar.assign(provider, 130.0, now)
+            completions = vector.assign(np.array([provider]), 130.0, now)
+            assert type(completion) is float
+            assert completion == completions.item(0)
+            assert scalar.response_time(completion, now) == (
+                vector.response_time(completions, now)
+            )
+        assert np.array_equal(scalar.busy_until, vector.busy_until)
+        assert np.array_equal(
+            scalar.completed_counts(), vector.completed_counts()
+        )
+        assert np.array_equal(scalar.busy_seconds(), vector.busy_seconds())
+        with pytest.raises(IndexError):
+            scalar.assign(2, 130.0, now=0.0)
+        with pytest.raises(ValueError):
+            scalar.assign(0, -5.0, now=0.0)
+
     def test_rejects_empty_assignment(self):
         queues = ProviderQueues(np.array([100.0]))
         with pytest.raises(ValueError):

@@ -67,6 +67,14 @@ class TestUtilizationTracker:
         tracker.assign(np.array([0, 0]), 100.0)
         assert tracker.utilization()[0] == pytest.approx(0.2)
 
+    def test_single_int_provider_matches_the_array_form(self):
+        scalar = make_tracker(capacities=(100.0, 50.0))
+        vector = make_tracker(capacities=(100.0, 50.0))
+        for provider, units in ((1, 130.0), (0, 70.0), (1, 40.0)):
+            scalar.assign(provider, units, assume_unique=True)
+            vector.assign(np.array([provider]), units, assume_unique=True)
+        assert np.array_equal(scalar.utilization(), vector.utilization())
+
     def test_utilization_of_subset(self):
         tracker = make_tracker(capacities=(100.0, 50.0, 25.0))
         tracker.assign(np.array([2]), 125.0)

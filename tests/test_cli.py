@@ -394,6 +394,59 @@ class TestQueueCommands:
                 ["queue", "work", "--queue-dir", queue_dir, "--no-cache"]
             )
 
+    def test_status_and_top_without_a_heartbeat_deadline(
+        self, tmp_path, capsys
+    ):
+        """A heartbeat that lost its deadline has no deadline or age:
+        null in strictly parseable JSON, ``-`` in the tables."""
+        import json as jsonlib
+
+        from repro.scheduler.queue import WorkQueue
+
+        queue_dir = str(tmp_path / "q")
+        self._run(
+            capsys, "queue", "init", "--queue-dir", queue_dir,
+            *QUEUE_SPEC_FLAGS,
+        )
+        queue = WorkQueue(queue_dir)
+        queue.heartbeat("lost", 30.0)
+        path = queue.heartbeats_dir / "lost.json"
+        record = jsonlib.loads(path.read_text())
+        del record["deadline"]
+        path.write_text(jsonlib.dumps(record))
+
+        def refuse(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        status = jsonlib.loads(
+            self._run(
+                capsys, "queue", "status", "--queue-dir", queue_dir,
+                "--no-cache", "--json",
+            ),
+            parse_constant=refuse,
+        )
+        frame = jsonlib.loads(
+            self._run(
+                capsys, "queue", "top", "--queue-dir", queue_dir, "--json"
+            ),
+            parse_constant=refuse,
+        )
+        for payload in (status, frame["status"]):
+            [worker] = payload["workers"]
+            assert worker["owner"] == "lost" and not worker["alive"]
+            assert worker["deadline_in_s"] is None
+            assert worker["heartbeat_age_s"] is None
+        table = self._run(
+            capsys, "queue", "status", "--queue-dir", queue_dir, "--no-cache"
+        )
+        [row] = [line for line in table.splitlines() if line.startswith("lost")]
+        assert row.split() == ["lost", "no", "0", "-"]
+        top = self._run(
+            capsys, "queue", "top", "--queue-dir", queue_dir, "--once"
+        )
+        [row] = [line for line in top.splitlines() if line.startswith("lost")]
+        assert row.split()[:4] == ["lost", "NO", "0", "-"]
+
     def test_commands_reject_a_missing_queue(self, tmp_path):
         for command in (
             ["queue", "status", "--queue-dir", str(tmp_path / "none")],
