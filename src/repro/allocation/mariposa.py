@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.allocation.base import AllocationMethod, AllocationRequest
-from repro.core.ranking import rank_providers, top_selection
+from repro.core.ranking import checked_argmax, rank_providers, top_selection
 
 __all__ = ["MariposaMethod"]
 
@@ -94,13 +94,10 @@ class MariposaMethod(AllocationMethod):
             # are finite) lets top_selection's linear scan pick exactly
             # that, from the same jitter draw and in the same (bid,
             # jitter, index) order, without sorting every bid.
-            # The sink would hide a NaN offer, so it is checked first,
-            # at the first NaN argmax returns when there is one.
+            # The sink would hide a NaN offer, so it is checked first.
             offers = -bids
             if np.count_nonzero(qualified):
-                top = offers.item(offers.argmax())
-                if top != top:
-                    raise ValueError("scores must not contain NaN")
+                checked_argmax(offers)
                 offers = np.where(qualified, offers, -np.inf)
             return top_selection(
                 offers, 1, rng=request.rng, tie_break=self._tie_break

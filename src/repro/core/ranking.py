@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rank_providers", "select_top", "top_selection"]
+__all__ = ["checked_argmax", "rank_providers", "select_top", "top_selection"]
 
 _TIE_BREAKS = ("random", "index")
 
@@ -47,8 +47,8 @@ def rank_providers(
     values = np.asarray(scores, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"scores must be 1-D, got shape {values.shape}")
-    if np.isnan(values).any():
-        raise ValueError("scores must not contain NaN")
+    if values.size:
+        checked_argmax(values)
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
     if tie_break == "index" or values.size <= 1:
@@ -61,6 +61,25 @@ def rank_providers(
     jitter = rng.random(values.size)
     order = np.lexsort((jitter, -values))
     return order
+
+
+def checked_argmax(values: np.ndarray) -> tuple[np.intp, float]:
+    """Position and value of the first maximum of a non-empty float array.
+
+    numpy's argmax returns the first NaN when there is one, so the value
+    it points at is the whole NaN check: one C-level pass, no
+    ``np.isnan`` mask.
+
+    Raises
+    ------
+    ValueError
+        If ``values`` holds a NaN.
+    """
+    best = values.argmax()
+    top = values.item(best)
+    if top != top:
+        raise ValueError("scores must not contain NaN")
+    return best, top
 
 
 def top_selection(
@@ -86,22 +105,14 @@ def top_selection(
     values = np.asarray(scores, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"scores must be 1-D, got shape {values.shape}")
-    if n_select == 1 and tie_break == "random" and values.size > 1:
-        # argmax returns the first NaN when there is one, so the value
-        # it points at is the whole NaN check of the linear scan below.
-        best = values.argmax()
-        top = values.item(best)
-        has_nan = top != top
-    else:
-        has_nan = np.isnan(values).any()
-    if has_nan:
-        raise ValueError("scores must not contain NaN")
+    if values.size:
+        best, top = checked_argmax(values)
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
     if tie_break == "index" or values.size <= 1:
         if n_select == 1 and values.size > 1:
             # Stable sort puts the first maximal element on top.
-            return np.array([np.argmax(values)])
+            return np.array([best])
         return np.argsort(-values, kind="stable")[:n_select]
     if rng is None:
         raise ValueError("random tie-breaking requires an rng")

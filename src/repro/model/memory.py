@@ -38,6 +38,11 @@ import numpy as np
 
 __all__ = ["InteractionMemory", "RowRingLog"]
 
+#: What a push hands back for the rows whose performed sums moved:
+#: ``(row, performed count, [performed sum per channel])`` in Python
+#: numbers, in pushed-row order.
+Moved = list[tuple[int, int, list[float]]]
+
 #: Refresh running sums from the raw buffer every this many pushes.
 _RESYNC_INTERVAL = 4096
 
@@ -349,16 +354,14 @@ class RowRingLog:
                 raise ValueError(f"channel {name!r} must align with row_indices")
             block[..., index] = new
         moved = self.push_block(rows, block, performed.nonzero()[0])
-        if isinstance(moved, list):
-            return np.array([row for row, _, _ in moved], dtype=np.int64)
-        return moved
+        return np.array([row for row, _, _ in moved], dtype=np.int64)
 
     def push_block(
         self,
         row_indices: np.ndarray,
         block: np.ndarray,
         performed_at: np.ndarray,
-    ) -> np.ndarray:
+    ) -> Moved:
         """Record one interaction per row, every channel in one block.
 
         Parameters
@@ -377,20 +380,17 @@ class RowRingLog:
 
         Returns
         -------
-        list or numpy.ndarray
+        list
             The rows whose *performed* running sums changed (as for
             :meth:`push`), in ``row_indices`` order, with what the push
-            wrote for them: a list of ``(row, performed count, [performed
-            sum per channel])`` in Python numbers, so a caller keeping
-            per-row views of the performed means need not read them
-            back.  When so many rows changed that the push updated them
-            with full-width masks (more than ``_SPARSE_ROWS``), just
-            those rows, as an int64 array.
+            wrote for them: ``(row, performed count, [performed sum per
+            channel])`` in Python numbers, so a caller keeping per-row
+            views of the performed means need not read them back.
         """
         rows = np.asarray(row_indices, dtype=np.int64)
         n = rows.size
         if n == 0:
-            return self._empty_rows
+            return []
         new = np.asarray(block, dtype=float)
         if new.shape != (n, len(self._channels)):
             raise ValueError(
@@ -432,7 +432,7 @@ class RowRingLog:
 
     def _push_many(
         self, rows: np.ndarray, new: np.ndarray, admitted: list[int]
-    ) -> np.ndarray:
+    ) -> Moved:
         # A subset, or every row out of global lockstep: the pushed
         # rows may still share one slot.
         self._sync_positions()
@@ -453,7 +453,7 @@ class RowRingLog:
         new: np.ndarray,
         admitted: list[int],
         all_rows: bool,
-    ) -> np.ndarray:
+    ) -> Moved:
         # All pushed rows share one ring slot (they have been pushed in
         # lockstep since construction — the universal-matchmaker hot
         # path, including after departures shrink the set).  One
@@ -502,7 +502,7 @@ class RowRingLog:
         pos: np.ndarray,
         new: np.ndarray,
         admitted: list[int],
-    ) -> np.ndarray:
+    ) -> Moved:
         # General path: rows sit at different ring positions.  Rows are
         # distinct (see the push docstring), so plain fancy indexing
         # accumulates exactly like a duplicate-safe ufunc.at scatter
@@ -556,7 +556,7 @@ class RowRingLog:
         evicted: list[int],
         new: np.ndarray,
         admitted: list[int],
-    ) -> np.ndarray:
+    ) -> Moved:
         # The performed flags, sums and counts of a vector push (the
         # whole-window sums are the caller's).  ``evicted`` and
         # ``admitted`` are positions in ``rows``: the rows whose
@@ -568,9 +568,10 @@ class RowRingLog:
         # admits with the dense form's IEEE operations in the same
         # order, and is written back; when so many changed that one
         # masked full-width update is cheaper (the warm-start slot
-        # evicting every row), that runs instead.  Returns what
+        # evicting every row), that runs instead and the changed rows'
+        # counts and sums are read back from it.  Returns what
         # push_block hands over: (row, count, sums) per changed row, in
-        # ``rows`` order, or on the masked path the changed rows.
+        # ``rows`` order.
         if len(evicted) + len(admitted) > _SPARSE_ROWS:
             old_performed = np.zeros(rows.size, dtype=bool)
             old_performed[evicted] = True
@@ -586,7 +587,14 @@ class RowRingLog:
                 np.int64
             ) - old_performed.astype(np.int64)
             self._performed[slots, rows] = performed
-            return rows[old_performed | performed]
+            changed = rows[old_performed | performed]
+            return list(
+                zip(
+                    changed.tolist(),
+                    self._count_performed[changed].tolist(),
+                    self._sum_performed[changed].tolist(),
+                )
+            )
         sums = self._sum_performed
         counts = self._count_performed
         flags = self._performed
@@ -614,7 +622,7 @@ class RowRingLog:
 
     def push_scalar(
         self, row: int, values: Sequence[float], performed: bool
-    ) -> tuple[int, list[float], list]:
+    ) -> tuple[int, list[float], Moved]:
         """Scalar push of one row, values given in channel order.
 
         The cheapest way to record a single participant's interaction
@@ -640,7 +648,7 @@ class RowRingLog:
 
     def _apply_scalar_push(
         self, row: int, values: Sequence[float], performed: bool
-    ) -> tuple[int, list[float], list]:
+    ) -> tuple[int, list[float], Moved]:
         # Scalar core shared by push_scalar and single-row pushes: the
         # row's slot and sums are read once as Python floats and take
         # the same evict-old-then-add-new operations in the same order

@@ -18,10 +18,8 @@ the adequation views of both pools, read only by samples, departure
 checks and the final arrays, are marked stale on every push and rebuilt
 wholesale when read.  Every refresh applies the same elementwise
 arithmetic as a wholesale recompute, so the views are bit-identical to
-the pre-cache behaviour.  When the log updated many rows with full-width
-masks instead of handing their sums back, the provider satisfaction
-views are rebuilt wholesale; when it resyncs its running sums (drift
-cancellation), everything is.
+the pre-cache behaviour; when the underlying log resyncs its running
+sums (drift cancellation), everything is rebuilt wholesale.
 
 :meth:`ProviderPool.record_proposals` owns the clip of the raw
 Definition 8 intentions: it clips them straight into a preallocated
@@ -321,17 +319,11 @@ class ProviderPool:
         # np.clip on the finite values the views hold; an empty window
         # reads -1, i.e. 0 after the rescale.
         self._adequation_stale = True
-        if isinstance(moved, list):
-            columns = self._satisfaction_columns
-            for row, count, sums in moved:
-                for view, total in zip(columns, sums):
-                    value = (total / count + 1.0) / 2.0 if count else 0.0
-                    view[row] = (
-                        0.0 if value < 0.0 else 1.0 if value > 1.0 else value
-                    )
-        elif moved.size:
-            # A masked full-width push hands over its rows alone.
-            self._refresh_satisfactions()
+        columns = self._satisfaction_columns
+        for row, count, sums in moved:
+            for view, total in zip(columns, sums):
+                value = (total / count + 1.0) / 2.0 if count else 0.0
+                view[row] = 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
     def push_stats(self) -> dict[str, int]:
         """The underlying ring log's push-path tallies."""
@@ -339,11 +331,6 @@ class ProviderPool:
 
     def _refresh_all(self) -> None:
         self.view_rebuilds += 1
-        self._refresh_satisfactions()
-        self._refresh_adequations()
-        self._generation = self._log.generation
-
-    def _refresh_satisfactions(self) -> None:
         self._satisfaction_views = {}
         for basis in self._BASES:
             # Running-sum drift can nudge a mean a few ulps outside
@@ -356,6 +343,8 @@ class ProviderPool:
         self._satisfaction_columns = tuple(
             self._satisfaction_views[basis] for basis in self._log.channels
         )
+        self._refresh_adequations()
+        self._generation = self._log.generation
 
     def _refresh_adequations(self) -> None:
         self.view_rebuilds += 1

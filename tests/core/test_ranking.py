@@ -136,7 +136,8 @@ class TestTopSelection:
     def test_nan_anywhere_raises_on_every_path(
         self, scores, n_select, tie_break, seed
     ):
-        """A NaN is refused before anything else is checked or drawn."""
+        """A NaN is refused before anything else is checked or drawn,
+        by the selection and by the full ranking alike."""
         rng = np.random.default_rng(seed)
         state = rng.bit_generator.state
         for generator, policy in (
@@ -146,6 +147,8 @@ class TestTopSelection:
         ):
             with pytest.raises(ValueError, match="scores must not contain NaN"):
                 top_selection(scores, n_select, rng=generator, tie_break=policy)
+            with pytest.raises(ValueError, match="scores must not contain NaN"):
+                rank_providers(scores, rng=generator, tie_break=policy)
         assert rng.bit_generator.state == state
 
     def test_index_tie_break_takes_first_maximum(self):

@@ -38,12 +38,9 @@ class DenseRowRingLog(RowRingLog):
     """
 
     def _hand_off(self, rows, performed, old_performed):
-        # push_block's contract: above _SPARSE_ROWS evictions plus
-        # admissions the changed rows alone, else their new performed
-        # counts and sums.
+        # push_block's contract: the changed rows' new performed counts
+        # and sums.
         changed = rows[performed | old_performed]
-        if performed.sum() + old_performed.sum() > memory._SPARSE_ROWS:
-            return changed
         return [
             (row, self._count_performed.item(row), self._sum_performed[row].tolist())
             for row in changed.tolist()
@@ -248,7 +245,7 @@ class TestSparsePushesMatchDenseReference:
                 moved = apply_push(log, *push)
                 expected = apply_push(reference, *push)
                 if isinstance(expected, np.ndarray):
-                    # The mapping form, or the masked path's rows.
+                    # The mapping form's rows.
                     assert np.array_equal(moved, expected)
                     assert moved.dtype == expected.dtype
                 else:
