@@ -33,7 +33,7 @@ from repro.analysis.series import (
     cells_from_store,
     jsonable,
 )
-from repro.experiments.store import ResultStore
+from repro.experiments.store import ResultStore, key_scope
 
 __all__ = [
     "DEFAULT_COMPARE_METRICS",
@@ -138,6 +138,7 @@ def _mean(values: dict[int, float], seeds: tuple[int, ...]) -> float:
     return float(np.mean([values[s] for s in seeds]))
 
 
+@key_scope()
 def compare_stores(
     root_a: Path | str,
     root_b: Path | str,

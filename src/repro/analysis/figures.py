@@ -49,7 +49,7 @@ from repro.analysis.series import (
     cells_from_store,
     jsonable,
 )
-from repro.experiments.store import ResultStore, StoredSeries
+from repro.experiments.store import ResultStore, StoredSeries, key_scope
 from repro.reliability.durability import atomic_write
 from repro.simulation.engine import ENGINE_VERSION
 from repro.sweeps.aggregate import ci_halfwidth
@@ -457,6 +457,7 @@ class _ScenarioReads:
         )
 
 
+@key_scope()
 def render_catalog(
     store_root: Path | str,
     out_dir: Path | str,

@@ -33,7 +33,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.audit.recorder import get_audit
-from repro.experiments.store import ResultStore, cache_key
+from repro.experiments.store import ResultStore, cache_key, key_scope
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationResult, run_simulation
 from repro.telemetry.profiling import active_profile_dir, profile_job
@@ -193,6 +193,7 @@ class ExperimentExecutor:
         """
         return [result for result, _ in self.run_detailed(jobs)]
 
+    @key_scope()
     def run_detailed(
         self, jobs: Iterable[SimulationJob]
     ) -> list[tuple[SimulationResult, bool]]:
@@ -202,7 +203,8 @@ class ExperimentExecutor:
         flag is the executor's own ground truth (a ``True`` means the
         result came from the store without simulation), so callers —
         the sweep manifests — never need a second store read to
-        classify jobs.
+        classify jobs.  The batch's gets and puts share one
+        :func:`~repro.experiments.store.key_scope`.
         """
         jobs = list(jobs)
         results: list[SimulationResult | None] = [None] * len(jobs)
@@ -263,6 +265,10 @@ class ExperimentExecutor:
         self, job: SimulationJob, result: SimulationResult
     ) -> SimulationResult:
         self.simulations_run += 1
+        # A pool child returns an equal copy of the job's config; the
+        # job's own object is what the serial path and ``get`` return,
+        # and the one the open key scope has already serialized.
+        result.config = job.config
         if self.store is not None:
             # Key by the job's registry name, not the method object's
             # class-level name — registry aliases share the latter.

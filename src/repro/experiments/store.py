@@ -12,7 +12,10 @@ full :class:`~repro.simulation.config.SimulationConfig`, the method
 name, the seed, and the engine's
 :data:`~repro.simulation.engine.ENGINE_VERSION` tag; any change to any
 of those yields a different key, and bumping the engine version
-invalidates every cached run at once.
+invalidates every cached run at once.  The config's canonical JSON is
+the bulk of that payload and the same for every (method, seed) of one
+config, so callers that key a grid open a :func:`key_scope`, inside
+which each config object is serialized once.
 
 Each cached run is two files under the store root:
 
@@ -44,9 +47,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
+import threading
 import zipfile
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +71,16 @@ __all__ = [
     "StoreVerifyReport",
     "StoredSeries",
     "cache_key",
+    "key_scope",
 ]
 
 #: Bump when the *serialization format* (not the simulation semantics)
 #: changes incompatibly; part of every cache key.
 _FORMAT_VERSION = "1"
+
+#: The two version tags as they appear in a key payload.
+_ENGINE_VERSION_JSON = json.dumps(ENGINE_VERSION)
+_FORMAT_VERSION_JSON = json.dumps(_FORMAT_VERSION)
 
 _DEPARTURE_FIELDS = tuple(
     f.name for f in dataclasses.fields(DepartureRecord)
@@ -218,6 +230,47 @@ class _Payload:
         return array.reshape(shape).copy()
 
 
+#: Each thread's open key scope, ``configs``: config id -> (config, its
+#: canonical JSON), or None outside a scope.
+_scopes = threading.local()
+
+
+def _forget_scopes() -> None:
+    global _scopes
+    _scopes = threading.local()
+
+
+# A pool child forked inside a scope would otherwise keep the parent's
+# scope open for its whole life, and grow it by one unpickled config
+# per job it keys.
+os.register_at_fork(after_in_child=_forget_scopes)
+
+
+@contextmanager
+def key_scope() -> Iterator[None]:
+    """Serialize each config object once while the block runs.
+
+    Inside the block, :func:`cache_key` keeps the canonical JSON of
+    every config *object* it keys and reuses it for that object's
+    other (method, seed) runs, so keying a grid costs one serialization
+    per config rather than one per run.  Nothing is keyed by value
+    (equal configs built apart are serialized apart), the scope holds
+    each config it keyed so that no other object can take its id, and
+    all of it is dropped when the outermost block exits: a scope
+    entered inside another folds into it.  Scopes are per thread, and
+    a forked child starts outside any.  Configs are frozen, so the
+    JSON of an object the scope holds cannot go stale.
+    """
+    if getattr(_scopes, "configs", None) is not None:
+        yield
+        return
+    _scopes.configs = {}
+    try:
+        yield
+    finally:
+        _scopes.configs = None
+
+
 def cache_key(config: SimulationConfig, method: str, seed: int) -> str:
     """Stable content hash identifying one deterministic run.
 
@@ -239,27 +292,43 @@ def cache_key(config: SimulationConfig, method: str, seed: int) -> str:
     Only these named fields are dropped — other top-level ``None``
     values (``fixed_omega``, ``fixed_provider_satisfaction``) predate
     the convention and are serialized as ``null`` in every existing key.
+
+    The payload is ``json.dumps`` of ``{"config", "engine_version",
+    "format_version", "method", "seed"}`` with sorted keys and no
+    whitespace, written out here around the config's canonical JSON
+    (:func:`_canonical_config`), which an open :func:`key_scope`
+    builds once per config object.
     """
-    config_payload = _fields(config)
-    config_payload["workload"] = {
+    configs = getattr(_scopes, "configs", None)
+    if configs is None:
+        text = _canonical_config(config)
+    else:
+        entry = configs.get(id(config))
+        if entry is None:
+            entry = configs[id(config)] = (config, _canonical_config(config))
+        text = entry[1]
+    canonical = (
+        f'{{"config":{text},"engine_version":{_ENGINE_VERSION_JSON},'
+        f'"format_version":{_FORMAT_VERSION_JSON},'
+        f'"method":{json.dumps(str(method))},"seed":{int(seed)}}}'
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _canonical_config(config: SimulationConfig) -> str:
+    """The config's part of the key payload, as canonical JSON."""
+    payload = _fields(config)
+    payload["workload"] = {
         name: value
         for name, value in _fields(config.workload).items()
         if value is not None
     }
     for name in ("faults", "strategic"):
-        if config_payload.get(name) is None:
-            config_payload.pop(name, None)
-    payload = {
-        "engine_version": ENGINE_VERSION,
-        "format_version": _FORMAT_VERSION,
-        "method": str(method),
-        "seed": int(seed),
-        "config": config_payload,
-    }
-    canonical = json.dumps(
+        if payload.get(name) is None:
+            payload.pop(name, None)
+    return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=_fields
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _fields(instance) -> dict:

@@ -398,11 +398,18 @@ class RowRingLog:
                 f"got {new.shape}"
             )
         positions = np.asarray(performed_at)
-        if positions.dtype.kind not in "iu":
+        if positions.ndim != 1 or positions.dtype.kind not in "iu":
             raise TypeError(
-                f"performed_at must hold integer positions, got {positions.dtype}"
+                "performed_at must be a 1-D array of integer positions, "
+                f"got {positions!r}"
             )
         admitted = positions.tolist()
+        for position in admitted:
+            if position < 0 or position >= n:
+                raise ValueError(
+                    f"performed_at must hold positions in [0, {n}), got "
+                    f"{admitted}"
+                )
         if n == 1:
             _, _, moved = self._apply_scalar_push(
                 rows.item(0), new[0].tolist(), bool(admitted)

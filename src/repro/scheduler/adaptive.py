@@ -30,7 +30,7 @@ import math
 
 from repro.analysis.metrics import available_metrics, get_metric
 from repro.experiments.executor import SimulationJob
-from repro.experiments.store import ResultStore
+from repro.experiments.store import ResultStore, key_scope
 from repro.scheduler.queue import WorkQueue, job_id
 from repro.sweeps.aggregate import ci_halfwidth
 from repro.sweeps.spec import SweepJob
@@ -217,6 +217,7 @@ class AdaptiveController:
 
     # -- the control step ---------------------------------------------
 
+    @key_scope()
     def step(self) -> list[AdaptiveDecision]:
         """One control pass over every scenario; enqueues extensions.
 

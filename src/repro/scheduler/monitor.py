@@ -29,6 +29,7 @@ from repro.experiments.executor import (
     get_default_executor,
 )
 from repro.experiments.harness import MethodAverages
+from repro.experiments.store import key_scope
 from repro.scheduler.queue import WorkQueue
 from repro.simulation.engine import ENGINE_VERSION
 from repro.sweeps.aggregate import (
@@ -462,6 +463,7 @@ def format_queue_top(frame: dict) -> str:
     return "\n".join(lines)
 
 
+@key_scope()
 def queue_report(
     queue: WorkQueue,
     executor: ExperimentExecutor | None = None,

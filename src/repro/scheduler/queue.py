@@ -57,7 +57,7 @@ import time
 from pathlib import Path
 
 from repro._io import DEFAULT_TEMP_AGE, crash_litter, filesystem_now
-from repro.experiments.store import cache_key
+from repro.experiments.store import cache_key, key_scope
 from repro.reliability.durability import atomic_write
 from repro.reliability.failpoints import failpoint
 from repro.simulation.config import SimulationConfig
@@ -474,6 +474,7 @@ class WorkQueue:
 
     # -- enqueue ------------------------------------------------------
 
+    @key_scope()
     def enqueue(self, sweep_jobs: list[SweepJob]) -> int:
         """Add jobs, skipping ids with live state (ticket, lease, or
         done record); returns how many were actually added.

@@ -752,7 +752,7 @@ class MediatorSimulation:
         for hook in on_phase:
             hook("ranking")
 
-        positions = np.asarray(self.method.select(request), dtype=np.int64)
+        positions = np.asarray(self.method.select(request))
         position = self._validate_selection(positions, request)
         for hook in on_phase:
             hook("log_push")
@@ -850,17 +850,27 @@ class MediatorSimulation:
             memo[consumer] = (candidates, adequation)
         return adequation
 
-    @staticmethod
     def _validate_selection(
-        positions: np.ndarray, request: AllocationRequest
+        self, positions: np.ndarray, request: AllocationRequest
     ) -> int | None:
         """Refuse a malformed selection; the position as an ``int`` when
-        exactly one provider is selected, else ``None``."""
+        exactly one provider is selected, else ``None``.
+
+        A selection is a 1-D integer array of distinct positions into
+        the candidates: a float or boolean one is refused, not cast,
+        since the cast would serve a provider the method never named.
+        """
         expected = request.n_to_select
         if positions.size != expected:
             raise ValueError(
-                f"method {request.query.qid}: selected {positions.size} "
-                f"providers, expected {expected}"
+                f"method {self.method.name!r} selected {positions.size} "
+                f"providers for query {request.query.qid}, expected "
+                f"{expected}"
+            )
+        if positions.ndim != 1 or positions.dtype.kind not in "iu":
+            raise ValueError(
+                f"method {self.method.name!r} must return a 1-D integer "
+                f"array of positions, got {positions!r}"
             )
         if positions.size == 1:
             # Fast path for the paper's q.n = 1: no duplicate check (a

@@ -30,7 +30,7 @@ from repro.experiments.executor import (
     ExperimentExecutor,
     get_default_executor,
 )
-from repro.experiments.store import cache_key
+from repro.experiments.store import cache_key, key_scope
 from repro.reliability.durability import atomic_write
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import ENGINE_VERSION
@@ -124,6 +124,7 @@ class SweepRunner:
             else get_default_executor()
         )
 
+    @key_scope()
     def run_shard(
         self,
         spec: SweepSpec,
@@ -142,6 +143,7 @@ class SweepRunner:
         executor = self.executor
         store = executor.store
         sweep_jobs = spec.shard(shard_index, shard_count, base)
+        spec_hash = spec.spec_hash()
 
         # run_detailed reports the executor's own ground truth per job
         # (an unreadable store entry is a miss and gets re-simulated),
@@ -155,7 +157,7 @@ class SweepRunner:
                     sj.job,
                     trace=mint_trace_id(
                         "sweep",
-                        spec.spec_hash(),
+                        spec_hash,
                         sj.scenario,
                         sj.job.method,
                         sj.job.seed,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.experiments.executor import (
     set_default_executor,
 )
 from repro.experiments.harness import run_method_family, run_repeated
+from repro.experiments import store as store_module
 from repro.experiments.store import ResultStore
 from repro.simulation.config import tiny_config
 from repro.simulation.engine import run_simulation
@@ -88,13 +91,22 @@ class TestExperimentExecutor:
             SimulationJob(config, "capacity", 2),
             SimulationJob(config, "sqlb", 3),
         ]
-        results = executor.run(jobs)
+        with mock.patch.object(
+            store_module,
+            "_canonical_config",
+            wraps=store_module._canonical_config,
+        ) as builds:
+            results = executor.run(jobs)
         assert [(r.method_name, r.seed) for r in results] == [
             ("sqlb", 1),
             ("capacity", 2),
             ("sqlb", 3),
         ]
         assert executor.simulations_run == 2
+        # Pool results carry the job's own config object, so the two
+        # puts reuse the JSON the three gets built.
+        assert all(result.config is config for result in results)
+        assert builds.call_count == 1
 
     def test_run_detailed_reports_ground_truth_hits(self, tmp_path):
         config = tiny_config(duration=40.0)

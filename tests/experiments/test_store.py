@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import operator
 import os
 import struct
+import threading
 import time
+import weakref
 import zipfile
 from unittest import mock
 
@@ -19,14 +23,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.analysis.compare import compare_stores
+from repro.analysis.figures import render_catalog
 from repro.experiments import store as store_module
-from repro.experiments.store import ResultStore, cache_key
+from repro.experiments.executor import ExperimentExecutor
+from repro.experiments.store import ResultStore, cache_key, key_scope
 from repro.model.strategic import StrategicSpec
+from repro.scheduler.queue import WorkQueue
 from repro.simulation.config import DepartureRules, WorkloadSpec, tiny_config
 from repro.simulation.engine import ENGINE_VERSION, run_simulation
 from repro.simulation.faults import FaultSpec, FlapSpec, OutageSpec
 from repro.simulation.trace import record_trace, replay_config
+from repro.sweeps.aggregate import sweep_summary
+from repro.sweeps.runner import SweepRunner
 from repro.sweeps.scenarios import SCALES, scenario_catalog
+from repro.sweeps.spec import SweepSpec
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +109,15 @@ class TestCacheKey:
         }
         assert any(c.faults and c.strategic for c in configs)
         assert any(not (c.faults or c.strategic) for c in configs)
-        for config in configs:
-            for method, seed in (("sqlb", 1), ("knbest_score", 23)):
-                assert cache_key(config, method, seed) == _asdict_key(
-                    config, method, seed
-                )
+        # Outside a scope, then inside one, where each config's second
+        # key reuses the JSON its first one built.
+        for scope in (contextlib.nullcontext(), key_scope()):
+            with scope:
+                for config in configs:
+                    for method, seed in (("sqlb", 1), ("knbest_score", 23)):
+                        assert cache_key(config, method, seed) == (
+                            _asdict_key(config, method, seed)
+                        )
 
     def test_stable_across_calls(self):
         config = tiny_config()
@@ -133,12 +148,14 @@ class TestCacheKey:
         intentional semantic change shifts them via ENGINE_VERSION)."""
         from repro.simulation.config import scaled_config
 
-        assert cache_key(tiny_config(), "sqlb", 11) == (
-            "0133888f71ac6fb810cec6978344380b8c9c3ad6737b7dce3564a8b9f3fa3e82"
-        )
-        assert cache_key(scaled_config(), "capacity", 23) == (
-            "a49dceb50f3fbd46d705aa49bf9c85359821bbd1940aaba455175d2ca1c18e57"
-        )
+        for scope in (contextlib.nullcontext(), key_scope()):
+            with scope:
+                assert cache_key(tiny_config(), "sqlb", 11) == (
+                    "0133888f71ac6fb810cec6978344380b8c9c3ad6737b7dce3564a8b9f3fa3e82"
+                )
+                assert cache_key(scaled_config(), "capacity", 23) == (
+                    "a49dceb50f3fbd46d705aa49bf9c85359821bbd1940aaba455175d2ca1c18e57"
+                )
 
     def test_new_workload_kinds_get_distinct_keys(self):
         burst = tiny_config(
@@ -154,6 +171,163 @@ class TestCacheKey:
             cache_key(tiny_config(workload=WorkloadSpec.fixed(0.4)), "sqlb", 1),
         }
         assert len(keys) == 4
+
+
+#: The benchmark's seed grid: four tiny scenarios, the three paper
+#: methods, ten seeds.
+GRID_SPEC = SweepSpec(
+    name="key-scope-grid",
+    scenarios=(
+        "autonomous_full", "provider_churn_stress", "captive_flap", "diurnal",
+    ),
+    seeds=tuple(range(1, 11)),
+    scale="tiny",
+)
+
+
+@pytest.fixture
+def config_builds():
+    """Count the canonical config JSON strings built in the test."""
+    with mock.patch.object(
+        store_module,
+        "_canonical_config",
+        wraps=store_module._canonical_config,
+    ) as builds:
+        yield builds
+
+
+@pytest.fixture(scope="module")
+def warm_grid(tmp_path_factory):
+    """A store holding every run of ``GRID_SPEC``, each entry one short
+    run's payload filed under the grid job's key (reads never check a
+    payload against its key), plus the cold shard's manifest."""
+    root = tmp_path_factory.mktemp("grid")
+    store = ResultStore(root)
+    template = run_simulation(tiny_config(duration=20.0), "sqlb", seed=1)
+    for sweep_job in GRID_SPEC.expand():
+        job = sweep_job.job
+        store.put(
+            dataclasses.replace(template, config=job.config, seed=job.seed),
+            method=job.method,
+        )
+    SweepRunner(ExperimentExecutor(store=ResultStore(root))).run_shard(
+        GRID_SPEC
+    )
+    return root
+
+
+class TestKeyScope:
+    def test_equal_configs_are_not_keyed_by_value(self, config_builds):
+        whole, fractional = tiny_config(duration=40), tiny_config(duration=40.0)
+        assert whole == fractional
+        with key_scope():
+            keys = [
+                cache_key(config, "sqlb", 1)
+                for config in (whole, fractional, whole, fractional)
+            ]
+        assert keys[0] != keys[1]
+        assert keys == [
+            cache_key(whole, "sqlb", 1), cache_key(fractional, "sqlb", 1),
+        ] * 2
+        # Two objects in the scope, two more keyed outside it.
+        assert config_builds.call_count == 4
+
+    def test_nested_scopes_fold_into_the_outermost(self, config_builds):
+        config = tiny_config(duration=41.0)
+        with key_scope():
+            cache_key(config, "sqlb", 1)
+            with key_scope():
+                cache_key(config, "sqlb", 2)
+            cache_key(config, "capacity", 1)
+        assert config_builds.call_count == 1
+        cache_key(config, "sqlb", 1)
+        assert config_builds.call_count == 2
+
+    def test_nothing_is_retained_after_the_scope(self):
+        config = tiny_config(duration=42.0)
+        ref = weakref.ref(config)
+        with key_scope():
+            key = cache_key(config, "sqlb", 1)
+            del config
+            gc.collect()
+            assert ref() is not None  # the scope holds what it keyed
+        gc.collect()
+        assert ref() is None
+        assert key == cache_key(tiny_config(duration=42.0), "sqlb", 1)
+
+    def test_scope_is_per_thread(self, config_builds):
+        config = tiny_config(duration=43.0)
+        keys = []
+
+        def other_thread():
+            keys.extend(cache_key(config, "sqlb", seed) for seed in (1, 2))
+
+        with key_scope():
+            cache_key(config, "sqlb", 1)
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join()
+        assert config_builds.call_count == 3
+        assert keys == [cache_key(config, "sqlb", seed) for seed in (1, 2)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_outside_the_scope(self):
+        config = tiny_config(duration=44.0)
+        with key_scope():
+            cache_key(config, "sqlb", 1)
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child
+                code = 1
+                try:
+                    code = int(
+                        getattr(store_module._scopes, "configs", None)
+                        is not None
+                    )
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_warm_shard_builds_each_config_once(self, warm_grid, config_builds):
+        executor = ExperimentExecutor(store=ResultStore(warm_grid))
+        report = SweepRunner(executor).run_shard(GRID_SPEC)
+        assert (report.jobs, report.store_hits) == (120, 120)
+        # 120 gets and 120 manifest keys from four config objects.
+        assert config_builds.call_count == 4
+        manifest = json.loads(report.manifest_path.read_text())
+        assert [job["key"] for job in manifest["jobs"]] == [
+            cache_key(sweep_job.job.config, sweep_job.method, sweep_job.seed)
+            for sweep_job in GRID_SPEC.expand()
+        ]
+
+    def test_summary_and_render_build_each_config_once(
+        self, warm_grid, config_builds, tmp_path
+    ):
+        executor = ExperimentExecutor(store=ResultStore(warm_grid))
+        sweep_summary(GRID_SPEC, executor)
+        assert (executor.simulations_run, executor.store.hits) == (0, 120)
+        assert config_builds.call_count == 4
+        report = render_catalog(warm_grid, tmp_path / "figures")
+        assert report.written and not report.skipped
+        assert config_builds.call_count == 8
+
+    def test_queue_init_and_compare_build_each_config_once(
+        self, warm_grid, config_builds, tmp_path
+    ):
+        queue = WorkQueue.init(tmp_path / "queue", GRID_SPEC)
+        assert config_builds.call_count == 4
+        # Each store's cells carry their own four config objects.
+        report = compare_stores(warm_grid, warm_grid)
+        assert report.ok and len(report.verdicts) == 12 * 4
+        assert config_builds.call_count == 4 + 8
+        queued = {
+            json.loads(path.read_text())["key"]
+            for path in queue.jobs_dir.glob("*.json")
+        }
+        assert queued == {
+            cache_key(sweep_job.job.config, sweep_job.method, sweep_job.seed)
+            for sweep_job in GRID_SPEC.expand()
+        }
 
 
 class TestRoundTrip:

@@ -408,6 +408,38 @@ class TestRowRingLogBlockPushes:
             log.push_block(rows, np.zeros((3, 2)), np.array([True, False, False]))
         assert log.push_stats() == {"uniform": 0, "scattered": 0, "scalar": 0}
 
+    @pytest.mark.parametrize(
+        ("rows", "performed_at"),
+        [
+            (np.arange(4), [-1]),
+            (np.arange(4), [4]),
+            (np.arange(4), [0, 4]),
+            (np.array([3, 1]), [2]),
+            (np.array([2]), [1]),
+        ],
+    )
+    def test_push_block_refuses_positions_outside_the_rows(
+        self, rows, performed_at
+    ):
+        log = RowRingLog(rows=4, capacity=2, channels=("a",))
+        log.push_block(np.arange(4), np.full((4, 1), 0.5), np.array([1]))
+        with pytest.raises(ValueError, match="positions in"):
+            log.push_block(
+                rows, np.zeros((rows.size, 1)), np.array(performed_at)
+            )
+        # Refused before anything is written.
+        assert log.performed_counts().tolist() == [0, 1, 0, 0]
+        assert log.counts().tolist() == [1, 1, 1, 1]
+        assert sum(log.push_stats().values()) == 1
+
+    def test_push_block_refuses_positions_that_are_not_1d(self):
+        log = RowRingLog(rows=3, capacity=2, channels=("a",))
+        with pytest.raises(TypeError, match="1-D"):
+            log.push_block(np.arange(3), np.zeros((3, 1)), np.array(0))
+        with pytest.raises(TypeError, match="1-D"):
+            log.push_block(np.arange(3), np.zeros((3, 1)), np.array([[0]]))
+        assert log.counts().tolist() == [0, 0, 0]
+
     def test_push_block_matches_the_mapping_form(self):
         via_block = RowRingLog(rows=4, capacity=3, channels=("a", "b"))
         via_mapping = RowRingLog(rows=4, capacity=3, channels=("a", "b"))

@@ -188,3 +188,63 @@ class TestSelectionValidation:
         config = tiny_config(duration=30.0)
         with pytest.raises(ValueError, match="duplicate|expected"):
             run_simulation(config, BrokenMethod(), seed=1)
+
+    @staticmethod
+    def _returning(selection):
+        from repro.allocation.base import AllocationMethod
+
+        class FixedMethod(AllocationMethod):
+            name = "fixed_selection"
+
+            def select(self, request):
+                return selection
+
+        return FixedMethod()
+
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            np.array([1.9]),  # a cast would serve position 1
+            np.array([1.0]),
+            np.array([True]),  # a cast would serve position 1
+            np.array([[1]]),
+            np.array(1),
+            1,
+        ],
+        ids=["float", "integral-float", "bool", "2-d", "0-d", "int"],
+    )
+    def test_selection_must_be_1d_integer_positions(self, selection):
+        with pytest.raises(
+            ValueError,
+            match="method 'fixed_selection' must return a 1-D integer array",
+        ):
+            run_simulation(
+                tiny_config(duration=5.0), self._returning(selection), seed=1
+            )
+
+    @pytest.mark.parametrize("selection", [np.array([]), []])
+    def test_empty_selection_keeps_the_size_error(self, selection):
+        with pytest.raises(
+            ValueError,
+            match="method 'fixed_selection' selected 0 providers .* expected 1",
+        ):
+            run_simulation(
+                tiny_config(duration=5.0), self._returning(selection), seed=1
+            )
+
+    @pytest.mark.parametrize(
+        "selection",
+        [[1], np.array([1], dtype=np.int32), np.array([1], dtype=np.uint8)],
+        ids=["list", "int32", "uint8"],
+    )
+    def test_any_integer_selection_is_served(self, selection):
+        expected = run_simulation(
+            tiny_config(duration=5.0), self._returning(np.array([1])), seed=1
+        )
+        result = run_simulation(
+            tiny_config(duration=5.0), self._returning(selection), seed=1
+        )
+        assert result.queries_served == expected.queries_served > 0
+        assert result.response_time_mean == expected.response_time_mean
+        for name, values in expected.final.items():
+            assert np.array_equal(result.final[name], values), name
