@@ -136,12 +136,16 @@ def cells_from_store(
     """
     rows, stale = manifest_cells(load_manifests(store_root))
     configs: dict[str, SimulationConfig] = {}
+    # One configs() call per distinct spec payload, not one per row.
+    spec_configs: dict[SweepSpec, dict[str, SimulationConfig]] = {}
     cells: list[CellRuns] = []
     for row in rows:
         scenario = row["scenario"]
         for payload in row["specs"]:
             spec = SweepSpec(**payload)
-            config = spec.configs()[scenario]
+            if spec not in spec_configs:
+                spec_configs[spec] = spec.configs()
+            config = spec_configs[spec][scenario]
             known = configs.get(scenario)
             if known is None:
                 configs[scenario] = config

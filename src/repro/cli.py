@@ -105,8 +105,10 @@ import json
 import os
 import time
 from collections import Counter
+from collections.abc import Callable
 from pathlib import Path
 
+from repro._checks import check_number
 from repro._io import DEFAULT_TEMP_AGE
 from repro.allocation.registry import PAPER_METHODS, available_methods
 from repro.analysis import (
@@ -230,16 +232,33 @@ FIGURES = tuple(FIGURE4_SERIES) + ("4i", "5a", "5b", "5c", "6", "table3")
 SEED_KEYWORDS = {"paper": PAPER_SEEDS, "default": DEFAULT_SEEDS}
 
 
+def _number(integer: bool = False, **bounds) -> Callable[[str], float]:
+    """An argparse type: a number :func:`check_number` accepts."""
+
+    def parse(text: str) -> float:
+        try:
+            value = int(text) if integer else float(text)
+            check_number(None, "value", value, integer=integer, **bounds)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+        return value
+
+    return parse
+
+
+_seed = _number(integer=True, ge=0)
+
+
 def _seed_token(text: str) -> str | int:
-    """One ``--seeds`` token: an integer or a named seed set."""
+    """One ``--seeds`` token: a non-negative integer or a named seed set."""
     if text in SEED_KEYWORDS:
         return text
     try:
-        return int(text)
-    except ValueError:
+        return _seed(text)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"seeds must be integers or one of {sorted(SEED_KEYWORDS)}, "
-            f"got {text!r}"
+            "seeds must be non-negative integers or one of "
+            f"{sorted(SEED_KEYWORDS)}, got {text!r}"
         ) from None
 
 
@@ -279,13 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("methods", help="list registered allocation methods")
 
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                f"must be a positive integer, got {value}"
-            )
-        return value
+    positive_int = _number(integer=True, gt=0)
+    positive_float = _number(gt=0)
 
     def add_cache_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
@@ -323,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", default="sqlb", choices=available_methods())
     run.add_argument(
         "--workload",
-        type=float,
+        type=positive_float,
         default=0.8,
         help="fixed workload as a fraction of total system capacity",
     )
-    run.add_argument("--duration", type=float, default=400.0)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--duration", type=positive_float, default=400.0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument(
         "--autonomous",
         action="store_true",
@@ -458,14 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size for any cells missing from the store",
     )
     add_cache_options(sweep_report)
-
-    def positive_float(text: str) -> float:
-        value = float(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(
-                f"must be a positive number, got {value}"
-            )
-        return value
 
     queue = sub.add_parser(
         "queue",
@@ -847,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_methods(),
         help="allocation method of the recording run (default: sqlb)",
     )
-    trace_record.add_argument("--seed", type=int, default=0)
+    trace_record.add_argument("--seed", type=_seed, default=0)
 
     trace_replay = trace_sub.add_parser(
         "replay",
@@ -984,17 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
                 f"thresholds look like METRIC=FRACTION with METRIC "
                 f"one of {', '.join(available_metrics())}; got {text!r}"
             )
-        try:
-            fraction = float(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"threshold value must be a number, got {value!r}"
-            ) from None
-        if fraction < 0:
-            raise argparse.ArgumentTypeError(
-                f"threshold must be >= 0, got {fraction}"
-            )
-        return metric, fraction
+        return metric, _number(ge=0)(value)
 
     analyze_compare = analyze_sub.add_parser(
         "compare",
@@ -1063,7 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--tolerance",
-        type=float,
+        type=_number(),
         default=0.30,
         help="allowed fractional qps drop before --check fails "
         "(default 0.30)",
@@ -1322,6 +1318,11 @@ def _cmd_run(args: argparse.Namespace) -> str:
             # Keep a post-warmup measurement window even on short runs.
             warmup_time=min(150.0, args.duration / 4.0),
             workload=WorkloadSpec.fixed(args.workload),
+        )
+    if config.duration < config.sample_interval:
+        raise SystemExit(
+            f"repro: error: --duration {config.duration:g} ends before the "
+            f"first sample (the sample interval is {config.sample_interval:g} s)"
         )
     if args.autonomous:
         config = config.with_departures(DepartureRules.autonomous(True))

@@ -27,6 +27,8 @@ import dataclasses
 
 import numpy as np
 
+from repro._checks import check_number
+
 __all__ = ["StrategicReporting", "StrategicSpec"]
 
 _MODES = ("exaggerate", "understate")
@@ -45,17 +47,11 @@ class StrategicSpec:
     gain: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(
-                f"strategic fraction must be in (0, 1], got {self.fraction}"
-            )
+        check_number("StrategicSpec", "fraction", self.fraction, gt=0, le=1)
+        check_number("StrategicSpec", "gain", self.gain, gt=0, le=1)
         if self.mode not in _MODES:
             raise ValueError(
                 f"strategic mode must be one of {_MODES}, got {self.mode!r}"
-            )
-        if not 0.0 < self.gain <= 1.0:
-            raise ValueError(
-                f"strategic gain must be in (0, 1], got {self.gain}"
             )
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro._checks import check_number
 from repro.analysis.metrics import available_metrics, get_metric
 from repro.experiments.executor import SimulationJob
 from repro.experiments.store import ResultStore, key_scope
@@ -84,16 +85,10 @@ class AdaptiveConfig:
     metric: str = "response_time_post_warmup"
 
     def __post_init__(self) -> None:
-        if self.ci_threshold < 0:
-            raise ValueError(
-                f"ci_threshold must be >= 0, got {self.ci_threshold}"
-            )
-        if self.max_seeds < 1:
-            raise ValueError(f"max_seeds must be >= 1, got {self.max_seeds}")
-        if self.seed_batch < 1:
-            raise ValueError(
-                f"seed_batch must be >= 1, got {self.seed_batch}"
-            )
+        owner = "AdaptiveConfig"
+        check_number(owner, "ci_threshold", self.ci_threshold, ge=0)
+        check_number(owner, "max_seeds", self.max_seeds, gt=0, integer=True)
+        check_number(owner, "seed_batch", self.seed_batch, gt=0, integer=True)
         if self.metric not in available_metrics():
             raise ValueError(
                 f"unknown convergence metric {self.metric!r}; "

@@ -48,6 +48,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
+from repro._checks import check_number
 from repro.reliability.durability import atomic_write
 
 __all__ = [
@@ -196,8 +197,9 @@ class FleetSupervisor:
         on_event: Callable[[str], None] | None = None,
         state_path: Path | str | None = None,
     ) -> None:
-        if count < 1:
-            raise ValueError(f"fleet size must be >= 1, got {count}")
+        check_number(
+            "FleetSupervisor", "count (the fleet size)", count, gt=0, integer=True
+        )
         self._spawn = spawn
         self.count = int(count)
         self.restart_budget = (

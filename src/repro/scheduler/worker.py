@@ -40,11 +40,13 @@ import time
 import uuid
 from pathlib import Path
 
+from repro._checks import check_number
 from repro.experiments.executor import (
     ExperimentExecutor,
     SimulationJob,
     get_default_executor,
 )
+from repro.experiments.store import key_scope
 from repro.reliability.failpoints import failpoint
 from repro.reliability.retry import retry_io
 from repro.scheduler.adaptive import AdaptiveController
@@ -194,8 +196,7 @@ class QueueWorker:
         self.owner = sanitize_owner(
             owner if owner is not None else default_owner_id()
         )
-        if ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {ttl}")
+        check_number("QueueWorker", "ttl", ttl, gt=0)
         self.ttl = float(ttl)
         self.poll_interval = float(poll_interval)
         self.max_jobs = max_jobs
@@ -296,6 +297,8 @@ class QueueWorker:
 
     # -- the daemon loop ----------------------------------------------
 
+    # One key scope per session: each scenario's config is serialized once.
+    @key_scope()
     def run(self, install_signal_handlers: bool = False) -> WorkerReport:
         """Drain the queue; returns a report of this session's work."""
         executor = self.executor

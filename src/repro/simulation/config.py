@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro._checks import check_number
 from repro.model.strategic import StrategicSpec
 from repro.simulation.faults import FaultSpec
 
@@ -56,8 +57,9 @@ class ClassBand:
     high: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
+        check_number("ClassBand", "fraction", self.fraction, ge=0, le=1)
+        check_number("ClassBand", "low", self.low)
+        check_number("ClassBand", "high", self.high)
         if self.low > self.high:
             raise ValueError(
                 f"band range is empty: low={self.low} > high={self.high}"
@@ -127,10 +129,13 @@ class CapacityClassMix:
     low_ratio: float = 7.0
 
     def __post_init__(self) -> None:
+        for fraction in self.fractions:
+            check_number("CapacityClassMix", "fractions", fraction)
+        check_number("CapacityClassMix", "high_rate", self.high_rate, gt=0)
+        check_number("CapacityClassMix", "medium_ratio", self.medium_ratio)
+        check_number("CapacityClassMix", "low_ratio", self.low_ratio)
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError(f"capacity fractions must sum to 1, got {self.fractions}")
-        if self.high_rate <= 0:
-            raise ValueError(f"high_rate must be positive, got {self.high_rate}")
         if self.medium_ratio <= 1 or self.low_ratio <= self.medium_ratio:
             raise ValueError(
                 "expected low_ratio > medium_ratio > 1, got "
@@ -164,12 +169,12 @@ class QueryClassSpec:
             raise ValueError("costs and weights must have the same length")
         if not self.costs:
             raise ValueError("at least one query class is required")
-        if any(cost <= 0 for cost in self.costs):
-            raise ValueError(f"query costs must be positive, got {self.costs}")
-        if any(weight < 0 for weight in self.weights) or sum(self.weights) <= 0:
-            raise ValueError(
-                f"weights must be non-negative and not all zero, got {self.weights}"
-            )
+        for cost in self.costs:
+            check_number("QueryClassSpec", "costs", cost, gt=0)
+        for weight in self.weights:
+            check_number("QueryClassSpec", "weights", weight, ge=0)
+        if sum(self.weights) <= 0:
+            raise ValueError(f"weights must not all be zero, got {self.weights}")
 
     @property
     def mean_cost(self) -> float:
@@ -223,6 +228,13 @@ class WorkloadSpec:
     trace_digest: str | None = None
     trace_base_kind: str | None = None
 
+    #: The parameters only one kind, or a trace recorded under it, sets.
+    _KIND_PARAMETERS = {
+        "trace": ("trace_path", "trace_digest", "trace_base_kind"),
+        "burst": ("burst_fraction", "burst_start", "burst_end"),
+        "piecewise": ("points",),
+    }
+
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "ramp", "burst", "piecewise", "trace"):
             raise ValueError(
@@ -231,29 +243,26 @@ class WorkloadSpec:
             )
         if self.kind == "trace":
             self._validate_trace()
-        elif (
-            self.trace_path is not None
-            or self.trace_digest is not None
-            or self.trace_base_kind is not None
-        ):
-            raise ValueError(
-                f"trace_* parameters are only valid for kind='trace', "
-                f"not {self.kind!r}"
-            )
         shape = self._shape_kind()
-        if shape in ("fixed", "ramp"):
-            self._validate_no_extras()
-            if self.start_fraction <= 0:
+        for kind, names in self._KIND_PARAMETERS.items():
+            if kind not in (self.kind, shape) and any(
+                getattr(self, name) is not None for name in names
+            ):
+                label = "points" if kind == "piecewise" else f"{kind}_* parameters"
                 raise ValueError(
-                    f"start_fraction must be positive, got {self.start_fraction}"
+                    f"{label} are only valid for kind={kind!r}, not {self.kind!r}"
                 )
-            if shape == "fixed" and self.end_fraction != self.start_fraction:
-                object.__setattr__(self, "end_fraction", self.start_fraction)
-            if self.end_fraction < self.start_fraction:
-                raise ValueError("a ramp cannot decrease")
+        check_number("WorkloadSpec", "start_fraction", self.start_fraction, gt=0)
+        check_number("WorkloadSpec", "end_fraction", self.end_fraction)
+        if shape in ("fixed", "burst") and self.end_fraction != self.start_fraction:
+            # One level (outside the window, for a burst): end_fraction is
+            # pinned so equality and hashing behave.
+            object.__setattr__(self, "end_fraction", self.start_fraction)
+        if shape == "ramp" and self.end_fraction < self.start_fraction:
+            raise ValueError("a ramp cannot decrease")
         elif shape == "burst":
             self._validate_burst()
-        else:
+        elif shape == "piecewise":
             self._validate_piecewise()
 
     def _shape_kind(self) -> str:
@@ -272,32 +281,8 @@ class WorkloadSpec:
                 f"got {self.trace_base_kind!r}"
             )
 
-    def _validate_no_extras(self) -> None:
-        if (
-            self.burst_fraction is not None
-            or self.burst_start is not None
-            or self.burst_end is not None
-        ):
-            raise ValueError(
-                f"burst_* parameters are only valid for kind='burst', "
-                f"not {self.kind!r}"
-            )
-        if self.points is not None:
-            raise ValueError(
-                f"points are only valid for kind='piecewise', not {self.kind!r}"
-            )
-
     def _validate_burst(self) -> None:
-        if self.points is not None:
-            raise ValueError("points are only valid for kind='piecewise'")
-        if self.start_fraction <= 0:
-            raise ValueError(
-                f"start_fraction must be positive, got {self.start_fraction}"
-            )
-        if self.burst_fraction is None or self.burst_fraction <= 0:
-            raise ValueError(
-                f"burst_fraction must be positive, got {self.burst_fraction}"
-            )
+        check_number("WorkloadSpec", "burst_fraction", self.burst_fraction, gt=0)
         if self.burst_start is None or self.burst_end is None:
             raise ValueError("a burst needs both burst_start and burst_end")
         if not 0.0 <= self.burst_start < self.burst_end <= 1.0:
@@ -305,18 +290,8 @@ class WorkloadSpec:
                 "burst window must satisfy 0 <= burst_start < burst_end <= 1, "
                 f"got [{self.burst_start}, {self.burst_end})"
             )
-        # The baseline is the level outside the window; end_fraction is
-        # meaningless for bursts and pinned so equality/hashing behave.
-        if self.end_fraction != self.start_fraction:
-            object.__setattr__(self, "end_fraction", self.start_fraction)
 
     def _validate_piecewise(self) -> None:
-        if (
-            self.burst_fraction is not None
-            or self.burst_start is not None
-            or self.burst_end is not None
-        ):
-            raise ValueError("burst_* parameters are only valid for kind='burst'")
         if self.points is None or len(self.points) < 2:
             raise ValueError("piecewise needs at least two (time, fraction) points")
         for point in self.points:
@@ -329,8 +304,10 @@ class WorkloadSpec:
             "points",
             tuple((float(t), float(v)) for t, v in self.points),
         )
-        times = [float(t) for t, _ in self.points]
-        values = [float(v) for _, v in self.points]
+        for time, value in self.points:
+            check_number("WorkloadSpec", "points", time)
+            check_number("WorkloadSpec", "points", value, gt=0)
+        times = [t for t, _ in self.points]
         if times[0] != 0.0 or times[-1] != 1.0:
             raise ValueError(
                 "piecewise points must span the whole horizon: first time "
@@ -338,13 +315,11 @@ class WorkloadSpec:
             )
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"piecewise times must strictly increase, got {times}")
-        if any(v <= 0 for v in values):
-            raise ValueError(f"piecewise fractions must be positive, got {values}")
         # Pin the redundant scalars to the endpoint values so
         # fraction_at(0)/fraction_at(duration) match start/end as for
         # the other kinds.
-        object.__setattr__(self, "start_fraction", values[0])
-        object.__setattr__(self, "end_fraction", values[-1])
+        object.__setattr__(self, "start_fraction", self.points[0][1])
+        object.__setattr__(self, "end_fraction", self.points[-1][1])
 
     @staticmethod
     def fixed(fraction: float) -> "WorkloadSpec":
@@ -487,18 +462,15 @@ class DepartureRules:
                 f"provider_basis must be 'preference' or 'intention', "
                 f"got {self.provider_basis!r}"
             )
-        if self.dissatisfaction_margin < 0:
-            raise ValueError("dissatisfaction_margin must be non-negative")
-        if not 0 < self.starvation_fraction < 1:
-            raise ValueError("starvation_fraction must be in (0, 1)")
-        if self.overutilization_fraction <= 1:
-            raise ValueError("overutilization_fraction must exceed 1")
-        if self.overutilization_floor < 0:
-            raise ValueError("overutilization_floor must be non-negative")
-        if self.persistence < 1:
-            raise ValueError("persistence must be at least 1")
-        if self.consumer_persistence < 1:
-            raise ValueError("consumer_persistence must be at least 1")
+        owner = "DepartureRules"
+        for name in ("dissatisfaction_margin", "overutilization_floor"):
+            check_number(owner, name, getattr(self, name), ge=0)
+        for name in ("persistence", "consumer_persistence"):
+            check_number(owner, name, getattr(self, name), gt=0, integer=True)
+        check_number(owner, "starvation_fraction", self.starvation_fraction, gt=0, lt=1)
+        check_number(
+            owner, "overutilization_fraction", self.overutilization_fraction, gt=1
+        )
 
     @staticmethod
     def captive() -> "DepartureRules":
@@ -545,14 +517,9 @@ class MariposaParams:
     max_delay: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.base_spread <= 1:
-            raise ValueError(f"base_spread must exceed 1, got {self.base_spread}")
-        if self.load_weight < 0:
-            raise ValueError(
-                f"load_weight must be non-negative, got {self.load_weight}"
-            )
-        if self.max_delay <= 0:
-            raise ValueError(f"max_delay must be positive, got {self.max_delay}")
+        check_number("MariposaParams", "base_spread", self.base_spread, gt=1)
+        check_number("MariposaParams", "load_weight", self.load_weight, ge=0)
+        check_number("MariposaParams", "max_delay", self.max_delay, gt=0)
 
 
 @dataclass(frozen=True)
@@ -626,14 +593,25 @@ class SimulationConfig:
     strategic: StrategicSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.n_consumers <= 0 or self.n_providers <= 0:
-            raise ValueError("populations must be positive")
-        if self.consumer_memory <= 0 or self.provider_memory <= 0:
-            raise ValueError("memory sizes must be positive")
-        if not 0.0 <= self.initial_satisfaction <= 1.0:
-            raise ValueError("initial_satisfaction must be in [0, 1]")
-        if self.warm_start_entries < 0:
-            raise ValueError("warm_start_entries must be non-negative")
+        owner = "SimulationConfig"
+        for name in (
+            "n_consumers", "n_providers", "consumer_memory", "provider_memory",
+            "queries_per_request", "utilization_bins",
+        ):
+            check_number(owner, name, getattr(self, name), gt=0, integer=True)
+        for name in (
+            "epsilon", "duration", "utilization_window",
+            "departure_check_interval", "sample_interval",
+        ):
+            check_number(owner, name, getattr(self, name), gt=0)
+        for name in ("initial_satisfaction", "upsilon"):
+            check_number(owner, name, getattr(self, name), ge=0, le=1)
+        for name in ("fixed_omega", "fixed_provider_satisfaction"):
+            check_number(owner, name, getattr(self, name), ge=0, le=1, optional=True)
+        check_number(owner, "warmup_time", self.warmup_time, ge=0)
+        check_number(
+            owner, "warm_start_entries", self.warm_start_entries, ge=0, integer=True
+        )
         if self.warm_start_entries > self.provider_memory:
             raise ValueError("warm_start_entries cannot exceed provider_memory")
         if self.provider_pref_mode not in ("per_query", "per_query_class"):
@@ -644,28 +622,6 @@ class SimulationConfig:
             raise ValueError(
                 f"unknown consumer_intention_mode {self.consumer_intention_mode!r}"
             )
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.upsilon <= 1.0:
-            raise ValueError("upsilon must be in [0, 1]")
-        if self.fixed_omega is not None and not 0.0 <= self.fixed_omega <= 1.0:
-            raise ValueError("fixed_omega must be in [0, 1] when set")
-        if self.fixed_provider_satisfaction is not None and not (
-            0.0 <= self.fixed_provider_satisfaction <= 1.0
-        ):
-            raise ValueError(
-                "fixed_provider_satisfaction must be in [0, 1] when set"
-            )
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.queries_per_request < 1:
-            raise ValueError("q.n must be at least 1")
-        if self.utilization_window <= 0 or self.utilization_bins <= 0:
-            raise ValueError("utilisation window parameters must be positive")
-        if self.warmup_time < 0 or self.departure_check_interval <= 0:
-            raise ValueError("invalid departure timing parameters")
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
         if self.faults is not None and not isinstance(self.faults, FaultSpec):
             raise TypeError(f"faults must be a FaultSpec, got {self.faults!r}")
         if self.strategic is not None and not isinstance(

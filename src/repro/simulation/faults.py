@@ -33,6 +33,8 @@ import dataclasses
 
 import numpy as np
 
+from repro._checks import check_number
+
 __all__ = [
     "FaultEvent",
     "FaultSpec",
@@ -57,10 +59,7 @@ class OutageSpec:
     end: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(
-                f"outage fraction must be in (0, 1], got {self.fraction}"
-            )
+        check_number("OutageSpec", "fraction", self.fraction, gt=0, le=1)
         if not 0.0 <= self.start < self.end <= 1.0:
             raise ValueError(
                 "outage window needs 0 <= start < end <= 1, got "
@@ -86,14 +85,9 @@ class FlapSpec:
     end: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(
-                f"flap fraction must be in (0, 1], got {self.fraction}"
-            )
-        if self.period <= 0.0:
-            raise ValueError(f"flap period must be > 0, got {self.period}")
-        if not 0.0 < self.duty < 1.0:
-            raise ValueError(f"flap duty must be in (0, 1), got {self.duty}")
+        check_number("FlapSpec", "fraction", self.fraction, gt=0, le=1)
+        check_number("FlapSpec", "period", self.period, gt=0)
+        check_number("FlapSpec", "duty", self.duty, gt=0, lt=1)
         if not 0.0 <= self.start < self.end <= 1.0:
             raise ValueError(
                 "flap window needs 0 <= start < end <= 1, got "

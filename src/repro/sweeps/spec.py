@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 
+from repro._checks import check_number
 from repro.allocation.registry import PAPER_METHODS, available_methods
 from repro.experiments.executor import SimulationJob
 from repro.simulation.config import SimulationConfig
@@ -72,6 +73,8 @@ class SweepSpec:
             )
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "methods", tuple(self.methods))
+        for seed in self.seeds:
+            check_number("SweepSpec", "seeds", seed, ge=0, integer=True)
         object.__setattr__(
             self, "seeds", tuple(int(seed) for seed in self.seeds)
         )

@@ -10,7 +10,9 @@ applied sample by sample, on random NaN-riddled inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro.analysis.metrics import get_metric
 from repro.experiments.harness import average_series, run_repeated
 from repro.sweeps.aggregate import SUMMARY_QUANTILES, ci_halfwidth
 from repro.sweeps.runner import load_manifests, write_manifest
+from repro.sweeps.spec import SweepSpec
 
 N_TRIALS = 200
 
@@ -84,6 +87,45 @@ class TestCellDiscovery:
         }
         for cell in cells:
             assert cell.seeds == spec.seeds
+            assert cell.config == spec.configs()[cell.scenario]
+
+    def test_configs_are_built_once_per_spec_payload(
+        self, warm_store, tmp_path
+    ):
+        import shutil
+
+        root = tmp_path / "two-sweeps"
+        shutil.copytree(warm_store.root, root)
+        # A second sweep over the same cells at another seed: every row
+        # now carries two distinct spec payloads.
+        spec = warm_store.spec
+        more = dataclasses.replace(spec, name="more-seeds", seeds=(3,))
+        write_manifest(
+            root,
+            more,
+            "deadbeef",
+            {"shard_index": 0, "shard_count": 1},
+            "shard0000of0001",
+            [
+                {
+                    "scenario": scenario,
+                    "method": method,
+                    "seed": 3,
+                    "key": "0" * 64,
+                    "state": "simulated",
+                }
+                for scenario in spec.scenarios
+                for method in spec.methods
+            ],
+        )
+        with mock.patch.object(
+            SweepSpec, "configs", autospec=True, side_effect=SweepSpec.configs
+        ) as configs:
+            cells, _ = cells_from_store(root)
+        assert configs.call_count == 2
+        assert len(cells) == len(spec.scenarios) * len(spec.methods)
+        for cell in cells:
+            assert cell.seeds == (1, 2, 3)
             assert cell.config == spec.configs()[cell.scenario]
 
     def test_conflicting_scenario_configs_are_refused(

@@ -10,6 +10,7 @@ import io
 import json
 import operator
 import os
+import shutil
 import struct
 import threading
 import time
@@ -30,6 +31,7 @@ from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.store import ResultStore, cache_key, key_scope
 from repro.model.strategic import StrategicSpec
 from repro.scheduler.queue import WorkQueue
+from repro.scheduler.worker import QueueWorker
 from repro.simulation.config import DepartureRules, WorkloadSpec, tiny_config
 from repro.simulation.engine import ENGINE_VERSION, run_simulation
 from repro.simulation.faults import FaultSpec, FlapSpec, OutageSpec
@@ -310,6 +312,30 @@ class TestKeyScope:
         report = render_catalog(warm_grid, tmp_path / "figures")
         assert report.written and not report.skipped
         assert config_builds.call_count == 8
+
+    def test_queue_drain_builds_each_config_once(
+        self, warm_grid, config_builds, tmp_path
+    ):
+        queue = WorkQueue.init(tmp_path / "queue", GRID_SPEC)
+        assert config_builds.call_count == 4
+        # The drain writes a worker manifest: keep the shared store as is.
+        store_root = tmp_path / "store"
+        shutil.copytree(warm_grid, store_root)
+        executor = ExperimentExecutor(store=ResultStore(store_root))
+        report = QueueWorker(queue, executor=executor, owner="drain").run()
+        assert (report.processed, report.store_hits) == (120, 120)
+        # 120 gets from the queue's four config objects, in one scope.
+        assert config_builds.call_count == 4 + 4
+        expected = {
+            cache_key(sweep_job.job.config, sweep_job.method, sweep_job.seed)
+            for sweep_job in GRID_SPEC.expand()
+        }
+        done = [
+            json.loads(path.read_text())
+            for path in queue.done_dir.glob("*.json")
+        ]
+        assert {record["key"] for record in done} == expected
+        assert {record["state"] for record in done} == {"store_hit"}
 
     def test_queue_init_and_compare_build_each_config_once(
         self, warm_grid, config_builds, tmp_path

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.sweeps.spec import SweepSpec
@@ -108,6 +110,10 @@ class TestExpansion:
             scale=base.scale,
         )
         assert reseeded.spec_hash() != base.spec_hash()
+        # Integral seeds keep their int() form, and with it the hash.
+        integral = dataclasses.replace(base, seeds=(1.0, 2.0))
+        assert integral.seeds == (1, 2)
+        assert integral.spec_hash() == base.spec_hash()
 
 
 class TestShardDeterminism:

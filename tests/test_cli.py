@@ -6,7 +6,10 @@ import pytest
 
 from repro.audit.recorder import AUDIT_DIR_ENV, configure_audit
 from repro.cli import build_parser, main, resolve_seeds
-from repro.experiments.executor import set_default_executor
+from repro.experiments.executor import (
+    get_default_executor,
+    set_default_executor,
+)
 from repro.experiments.harness import DEFAULT_SEEDS, PAPER_SEEDS
 from repro.telemetry.registry import TELEMETRY_DIR_ENV, configure_telemetry
 
@@ -111,6 +114,14 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "method: capacity" in output
         assert "response time" in output
+
+    def test_run_refuses_a_horizon_without_a_sample(self):
+        # The scaled environment samples every 30 s.
+        with pytest.raises(
+            SystemExit, match="--duration 29 .*sample interval is 30 s"
+        ):
+            main(["run", "--duration", "29", "--no-cache"])
+        assert get_default_executor().simulations_run == 0
 
     def test_run_autonomous_reports_departures(self, capsys):
         main(
@@ -316,6 +327,24 @@ class TestTraceCommands:
             ])
 
 
+#: Every float-valued flag, after the arguments its command needs.
+NUMERIC_FLAGS = [
+    ["run", "--workload"],
+    ["run", "--duration"],
+    ["queue", "init", "--queue-dir", "q", "--ci-threshold"],
+    ["queue", "work", "--queue-dir", "q", "--ttl"],
+    ["queue", "work", "--queue-dir", "q", "--poll"],
+    ["queue", "top", "--queue-dir", "q", "--interval"],
+    ["queue", "gc", "--queue-dir", "q", "--temp-age"],
+    ["queue", "fsck", "--queue-dir", "q", "--temp-age"],
+    ["queue", "fleet", "--queue-dir", "q", "--backoff"],
+    ["queue", "fleet", "--queue-dir", "q", "--ttl"],
+    ["analyze", "compare", "a", "b", "--default-threshold"],
+    ["analyze", "compare", "a", "b", "--threshold=response_time_post_warmup"],
+    ["perf", "--tolerance"],
+]
+
+
 class TestQueueParser:
     def test_init_defaults(self):
         args = build_parser().parse_args(
@@ -352,11 +381,23 @@ class TestQueueParser:
             ["queue", "init", "--queue-dir", "q", "--ci-threshold", "-1"],
             ["queue", "init", "--queue-dir", "q", "--seed-batch", "0"],
             ["queue", "init", "--queue-dir", "q", "--max-attempts", "0"],
+            ["queue", "init", "--queue-dir", "q", "--seeds", "-5"],
+            ["sweep", "run", "--seeds", "1.5"],
+            ["run", "--seed=-1"],
+            ["trace", "record", "--out", "t.json", "--seed=-1"],
+            *(
+                [*command, f"{flag}={value}"]
+                for *command, flag in NUMERIC_FLAGS
+                for value in ("nan", "inf", "-inf")
+            ),
         ],
     )
-    def test_rejects_non_positive_knobs(self, flags):
-        with pytest.raises(SystemExit):
+    def test_rejects_non_positive_knobs(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(flags)
+        assert exit_info.value.code == 2
+        flag = [token for token in flags if token.startswith("--")][-1]
+        assert f"argument {flag.partition('=')[0]}:" in capsys.readouterr().err
 
     def test_sweep_status_json_flag(self):
         args = build_parser().parse_args(["sweep", "status", "--json"])
