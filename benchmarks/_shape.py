@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.report import format_series_table
-
 
 def tail_mean(series: np.ndarray, fraction: float = 1 / 3) -> float:
     """Mean of the last ``fraction`` of a series (ignores NaN)."""
@@ -18,13 +16,3 @@ def head_mean(series: np.ndarray, fraction: float = 1 / 3) -> float:
     n = max(1, int(len(series) * fraction))
     return float(np.nanmean(series[:n]))
 
-
-def series_report(family, series_name: str, label: str) -> str:
-    """Render one figure's series for all methods in the family."""
-    methods = list(family)
-    times = family[methods[0]].times()
-    return format_series_table(
-        times,
-        {method: family[method].series(series_name) for method in methods},
-        value_label=label,
-    )

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from conftest import BENCH_SEEDS, bench_config
 
-from repro.experiments.harness import run_method_family
+from repro.experiments.harness import average_series, run_repeated
 from repro.experiments.report import format_curve_table
 from repro.simulation.config import WorkloadSpec
 
@@ -31,16 +33,17 @@ def _run_variants():
     }
     results = {}
     for label, config in variants.items():
-        family = run_method_family(config, ("sqlb",), BENCH_SEEDS)
-        averages = family["sqlb"]
+        runs = run_repeated(config, "sqlb", BENCH_SEEDS)
         results[label] = {
-            "consumer_satisfaction": averages.series(
-                "consumer_satisfaction_mean"
+            "consumer_satisfaction": average_series(
+                runs, "consumer_satisfaction_mean"
             )[-1],
-            "provider_satisfaction": averages.series(
-                "provider_intention_satisfaction_mean"
+            "provider_satisfaction": average_series(
+                runs, "provider_intention_satisfaction_mean"
             )[-1],
-            "response_time": averages.response_time(),
+            "response_time": float(
+                np.nanmean([r.response_time_post_warmup for r in runs])
+            ),
         }
     return results
 

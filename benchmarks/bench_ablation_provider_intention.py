@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from conftest import BENCH_SEEDS, bench_config
 
-from repro.experiments.harness import run_method_family
+from repro.experiments.harness import average_series, run_repeated
 from repro.experiments.report import format_curve_table
 from repro.simulation.config import WorkloadSpec
 
@@ -30,15 +32,16 @@ def _run_variants():
     }
     results = {}
     for label, config in variants.items():
-        family = run_method_family(config, ("sqlb",), BENCH_SEEDS)
-        averages = family["sqlb"]
+        runs = run_repeated(config, "sqlb", BENCH_SEEDS)
         results[label] = {
-            "pref_satisfaction": averages.series(
-                "provider_preference_satisfaction_mean"
+            "pref_satisfaction": average_series(
+                runs, "provider_preference_satisfaction_mean"
             )[-1],
-            "response_time": averages.response_time(),
-            "utilization_fairness": averages.series(
-                "utilization_fairness"
+            "response_time": float(
+                np.nanmean([r.response_time_post_warmup for r in runs])
+            ),
+            "utilization_fairness": average_series(
+                runs, "utilization_fairness"
             )[-1],
         }
     return results

@@ -17,7 +17,7 @@ import numpy as np
 
 from conftest import BENCH_SEEDS, bench_config
 
-from repro.experiments.harness import run_method_family
+from repro.experiments.harness import average_series, run_repeated
 from repro.experiments.report import format_curve_table
 from repro.simulation.config import WorkloadSpec
 
@@ -26,25 +26,23 @@ METHODS = ("sqlb", "capacity", "mariposa", "knbest", "sqlb_econ")
 
 def _run_all():
     config = bench_config().with_workload(WorkloadSpec.fixed(0.8))
-    family = run_method_family(config, METHODS, BENCH_SEEDS)
     rows = {}
     for method in METHODS:
-        averages = family[method]
+        runs = run_repeated(config, method, BENCH_SEEDS)
         starved = float(
             np.mean(
-                [
-                    (r.final["completed_counts"] == 0).mean()
-                    for r in averages.results
-                ]
+                [(r.final["completed_counts"] == 0).mean() for r in runs]
             )
         )
         rows[method] = {
-            "response_time": averages.response_time(),
-            "prov_pref_sat": averages.series(
-                "provider_preference_satisfaction_mean"
+            "response_time": float(
+                np.nanmean([r.response_time_post_warmup for r in runs])
+            ),
+            "prov_pref_sat": average_series(
+                runs, "provider_preference_satisfaction_mean"
             )[-1],
-            "cons_alloc_sat": averages.series(
-                "consumer_allocation_satisfaction_mean"
+            "cons_alloc_sat": average_series(
+                runs, "consumer_allocation_satisfaction_mean"
             )[-1],
             "starved_share": starved,
         }

@@ -7,30 +7,31 @@ as the workload ramps (loaded providers' intentions turn negative).
 
 from __future__ import annotations
 
-from _shape import series_report, tail_mean
+from _shape import tail_mean
 from conftest import BENCH_SEEDS, ramp_config
 
-from repro.experiments.captive import captive_ramp
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_fig4a_provider_satisfaction_mean_intentions(
     benchmark, report_writer
 ):
-    family = benchmark.pedantic(
-        captive_ramp,
-        kwargs={"config": ramp_config(), "seeds": BENCH_SEEDS},
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("4a",),
+        kwargs={"seeds": BENCH_SEEDS, "base": ramp_config()},
         rounds=1,
         iterations=1,
     )
-    series = "provider_intention_satisfaction_mean"
     report_writer(
         "fig4a_provider_satisfaction_intentions",
-        series_report(family, series, "Fig 4(a): µ(δs, P), intention-based"),
+        format_figure("4a", payload, "Fig 4(a): µ(δs, P), intention-based"),
     )
+    family = figure_values("4a", payload)
 
-    sqlb = family["sqlb"].series(series)
-    capacity = family["capacity"].series(series)
-    mariposa = family["mariposa"].series(series)
+    sqlb = family["sqlb"]
+    capacity = family["capacity"]
+    mariposa = family["mariposa"]
     # SQLB satisfies provider intentions best (the paper's headline for
     # this figure).  The paper additionally shows SQLB *declining* from
     # a high initial value as the ramp loads providers; our scaled run

@@ -7,30 +7,31 @@ is preference-blind.
 
 from __future__ import annotations
 
-from _shape import series_report, tail_mean
+from _shape import tail_mean
 from conftest import BENCH_SEEDS, ramp_config
 
-from repro.experiments.captive import captive_ramp
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_fig4b_provider_satisfaction_mean_preferences(
     benchmark, report_writer
 ):
-    family = benchmark.pedantic(
-        captive_ramp,
-        kwargs={"config": ramp_config(), "seeds": BENCH_SEEDS},
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("4b",),
+        kwargs={"seeds": BENCH_SEEDS, "base": ramp_config()},
         rounds=1,
         iterations=1,
     )
-    series = "provider_preference_satisfaction_mean"
     report_writer(
         "fig4b_provider_satisfaction_preferences",
-        series_report(family, series, "Fig 4(b): µ(δs, P), preference-based"),
+        format_figure("4b", payload, "Fig 4(b): µ(δs, P), preference-based"),
     )
+    family = figure_values("4b", payload)
 
-    sqlb = tail_mean(family["sqlb"].series(series))
-    capacity = tail_mean(family["capacity"].series(series))
-    mariposa = tail_mean(family["mariposa"].series(series))
+    sqlb = tail_mean(family["sqlb"])
+    capacity = tail_mean(family["capacity"])
+    mariposa = tail_mean(family["mariposa"])
     assert sqlb > capacity
     assert mariposa > capacity
     # SQLB trails Mariposa by at most a modest margin (the paper reports

@@ -7,30 +7,29 @@ Mariposa-like work for them (at or above 1).
 
 from __future__ import annotations
 
-from _shape import series_report, tail_mean
+from _shape import tail_mean
 from conftest import BENCH_SEEDS, ramp_config
 
-from repro.experiments.captive import captive_ramp
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_fig4c_provider_allocation_satisfaction(benchmark, report_writer):
-    family = benchmark.pedantic(
-        captive_ramp,
-        kwargs={"config": ramp_config(), "seeds": BENCH_SEEDS},
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("4c",),
+        kwargs={"seeds": BENCH_SEEDS, "base": ramp_config()},
         rounds=1,
         iterations=1,
     )
-    series = "provider_preference_allocation_satisfaction_mean"
     report_writer(
         "fig4c_provider_allocation_satisfaction",
-        series_report(
-            family, series, "Fig 4(c): µ(δas, P), preference-based"
-        ),
+        format_figure("4c", payload, "Fig 4(c): µ(δas, P), preference-based"),
     )
+    family = figure_values("4c", payload)
 
-    sqlb = tail_mean(family["sqlb"].series(series))
-    capacity = tail_mean(family["capacity"].series(series))
-    mariposa = tail_mean(family["mariposa"].series(series))
+    sqlb = tail_mean(family["sqlb"])
+    capacity = tail_mean(family["capacity"])
+    mariposa = tail_mean(family["mariposa"])
     # Capacity based punishes providers...
     assert capacity < 0.95
     # ...while the intention-aware methods do not.

@@ -9,27 +9,28 @@ from __future__ import annotations
 
 import itertools
 
-from _shape import series_report, tail_mean
+from _shape import tail_mean
 from conftest import BENCH_SEEDS, ramp_config
 
-from repro.experiments.captive import captive_ramp
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_fig4d_provider_satisfaction_fairness(benchmark, report_writer):
-    family = benchmark.pedantic(
-        captive_ramp,
-        kwargs={"config": ramp_config(), "seeds": BENCH_SEEDS},
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("4d",),
+        kwargs={"seeds": BENCH_SEEDS, "base": ramp_config()},
         rounds=1,
         iterations=1,
     )
-    series = "provider_intention_satisfaction_fairness"
     report_writer(
         "fig4d_provider_satisfaction_fairness",
-        series_report(family, series, "Fig 4(d): f(δs, P)"),
+        format_figure("4d", payload, "Fig 4(d): f(δs, P)"),
     )
+    family = figure_values("4d", payload)
 
     tails = {
-        method: tail_mean(family[method].series(series))
+        method: tail_mean(family[method])
         for method in family
     }
     for value in tails.values():

@@ -7,31 +7,32 @@ because they never look at the consumer's intentions.
 
 from __future__ import annotations
 
-from _shape import series_report, tail_mean
+from _shape import tail_mean
 from conftest import BENCH_SEEDS, ramp_config
 
-from repro.experiments.captive import captive_ramp
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_fig4e_consumer_allocation_satisfaction(benchmark, report_writer):
-    family = benchmark.pedantic(
-        captive_ramp,
-        kwargs={"config": ramp_config(), "seeds": BENCH_SEEDS},
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("4e",),
+        kwargs={"seeds": BENCH_SEEDS, "base": ramp_config()},
         rounds=1,
         iterations=1,
     )
-    series = "consumer_allocation_satisfaction_mean"
     report_writer(
         "fig4e_consumer_allocation_satisfaction",
-        series_report(family, series, "Fig 4(e): µ(δas, C)"),
+        format_figure("4e", payload, "Fig 4(e): µ(δas, C)"),
     )
+    family = figure_values("4e", payload)
 
-    sqlb = tail_mean(family["sqlb"].series(series))
-    capacity = tail_mean(family["capacity"].series(series))
-    mariposa = tail_mean(family["mariposa"].series(series))
+    sqlb = tail_mean(family["sqlb"])
+    capacity = tail_mean(family["capacity"])
+    mariposa = tail_mean(family["mariposa"])
     # SQLB works *for* consumers; the baselines are neutral.
     assert sqlb > 1.05
     assert 0.90 < capacity < 1.10
     assert 0.90 < mariposa < 1.10
     # Consumers are never punished by SQLB.
-    assert (family["sqlb"].series(series) >= 0.99).all()
+    assert (family["sqlb"] >= 0.99).all()

@@ -9,30 +9,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from _shape import series_report, tail_mean
+from _shape import tail_mean
 from conftest import BENCH_SEEDS, ramp_config
 
-from repro.experiments.captive import captive_ramp
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_fig4f_consumer_satisfaction_fairness(benchmark, report_writer):
-    family = benchmark.pedantic(
-        captive_ramp,
-        kwargs={"config": ramp_config(), "seeds": BENCH_SEEDS},
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("4f",),
+        kwargs={"seeds": BENCH_SEEDS, "base": ramp_config()},
         rounds=1,
         iterations=1,
     )
-    series = "consumer_satisfaction_fairness"
     report_writer(
         "fig4f_consumer_satisfaction_fairness",
-        series_report(family, series, "Fig 4(f): f(δs, C)"),
+        format_figure("4f", payload, "Fig 4(f): f(δs, C)"),
+    )
+    family = figure_values("4f", payload)
+    # The provider-side fairness of the same runs (Fig 4(d)).
+    provider = figure_values(
+        "4d", run_figure("4d", seeds=BENCH_SEEDS, base=ramp_config())
     )
 
     for method in family:
-        values = family[method].series(series)
+        values = family[method]
         assert tail_mean(values) > 0.85
         # Less variation than the provider-side fairness (Fig 4(d)).
-        provider_fairness = family[method].series(
-            "provider_intention_satisfaction_fairness"
-        )
-        assert np.nanstd(values) <= np.nanstd(provider_fairness) + 0.05
+        assert np.nanstd(values) <= np.nanstd(provider[method]) + 0.05

@@ -7,32 +7,33 @@ mean utilisation runs highest as the ramp approaches 100 %.
 
 from __future__ import annotations
 
-from _shape import series_report, tail_mean
+from _shape import tail_mean
 from conftest import BENCH_SEEDS, ramp_config
 
-from repro.experiments.captive import captive_ramp
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_fig4g_utilization_mean(benchmark, report_writer):
-    family = benchmark.pedantic(
-        captive_ramp,
-        kwargs={"config": ramp_config(), "seeds": BENCH_SEEDS},
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("4g",),
+        kwargs={"seeds": BENCH_SEEDS, "base": ramp_config()},
         rounds=1,
         iterations=1,
     )
-    series = "utilization_mean"
     report_writer(
         "fig4g_utilization_mean",
-        series_report(family, series, "Fig 4(g): µ(Ut, P)"),
+        format_figure("4g", payload, "Fig 4(g): µ(Ut, P)"),
     )
+    family = figure_values("4g", payload)
 
-    capacity = tail_mean(family["capacity"].series(series))
-    mariposa = tail_mean(family["mariposa"].series(series))
-    sqlb = tail_mean(family["sqlb"].series(series))
+    capacity = tail_mean(family["capacity"])
+    mariposa = tail_mean(family["mariposa"])
+    sqlb = tail_mean(family["sqlb"])
     # Mariposa's crude load balancing overshoots the baselines'.
     assert mariposa >= capacity
     assert mariposa >= 0.95 * sqlb
     # Everybody's mean utilisation rises with the ramp.
     for method in family:
-        values = family[method].series(series)
+        values = family[method]
         assert tail_mean(values) > tail_mean(values[: len(values) // 2])

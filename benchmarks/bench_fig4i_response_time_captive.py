@@ -10,35 +10,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import BENCH_SEEDS, BENCH_WORKLOADS, bench_config
+from conftest import BENCH_SEEDS, bench_config
 
-from repro.experiments.captive import response_time_curve
-from repro.experiments.report import format_curve_table
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_fig4i_response_time_captive(benchmark, report_writer):
-    curve = benchmark.pedantic(
-        response_time_curve,
-        kwargs={
-            "config": bench_config(),
-            "seeds": BENCH_SEEDS,
-            "workloads": BENCH_WORKLOADS,
-        },
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("4i",),
+        kwargs={"seeds": BENCH_SEEDS, "base": bench_config()},
         rounds=1,
         iterations=1,
     )
     report_writer(
         "fig4i_response_time_captive",
-        format_curve_table(
-            curve.workloads,
-            curve.response_times,
-            value_label="Fig 4(i): response time (s), captive participants",
+        format_figure(
+            "4i",
+            payload,
+            "Fig 4(i): response time (s), captive participants",
         ),
     )
+    curve = figure_values("4i", payload)
 
-    capacity = curve.response_times["capacity"]
-    sqlb = curve.response_times["sqlb"]
-    mariposa = curve.response_times["mariposa"]
+    capacity = curve["capacity"]
+    sqlb = curve["sqlb"]
+    mariposa = curve["mariposa"]
     # Capacity based wins at every workload level.
     assert (capacity <= sqlb + 1e-9).all()
     assert (capacity <= mariposa + 1e-9).all()

@@ -11,46 +11,47 @@ see EXPERIMENTS.md for the full deviation discussion.
 
 from __future__ import annotations
 
-from conftest import BENCH_SEEDS, BENCH_WORKLOADS, bench_config
+import numpy as np
 
-from repro.experiments.autonomy import departure_response_times
-from repro.experiments.harness import run_method_family
-from repro.experiments.report import format_curve_table
+from conftest import BENCH_SEEDS, bench_config
+
+from repro.experiments.harness import run_repeated
+from repro.experiments.paper import (
+    PAPER_WORKLOADS,
+    figure_values,
+    format_figure,
+    run_figure,
+)
 from repro.simulation.config import DepartureRules, WorkloadSpec
 
 
 def test_fig5a_response_time_dissatisfaction_starvation(
     benchmark, report_writer
 ):
-    curve = benchmark.pedantic(
-        departure_response_times,
-        kwargs={
-            "include_overutilization": False,
-            "config": bench_config(),
-            "seeds": BENCH_SEEDS,
-            "workloads": BENCH_WORKLOADS,
-        },
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("5a",),
+        kwargs={"seeds": BENCH_SEEDS, "base": bench_config()},
         rounds=1,
         iterations=1,
     )
     report_writer(
         "fig5a_response_time_dissat_starv",
-        format_curve_table(
-            curve.workloads,
-            curve.response_times,
-            value_label=(
-                "Fig 5(a): response time (s), departures by "
-                "dissatisfaction/starvation"
-            ),
+        format_figure(
+            "5a",
+            payload,
+            "Fig 5(a): response time (s), departures by "
+            "dissatisfaction/starvation",
         ),
     )
+    curve = figure_values("5a", payload)
 
-    sqlb = curve.response_times["sqlb"]
-    mariposa = curve.response_times["mariposa"]
+    sqlb = curve["sqlb"]
+    mariposa = curve["mariposa"]
     # SQLB beats the other intention-aware method across the mid-range
     # workloads (at full saturation our scaled SQLB loses its provider
     # population and its response time spikes — see EXPERIMENTS.md).
-    mid = [i for i, w in enumerate(BENCH_WORKLOADS) if 0.3 <= w <= 0.9]
+    mid = [i for i, w in enumerate(PAPER_WORKLOADS) if 0.3 <= w <= 0.9]
     assert sqlb[mid].mean() < mariposa[mid].mean()
     assert (sqlb[mid] <= mariposa[mid] + 1e-9).all()
 
@@ -60,9 +61,14 @@ def test_fig5a_response_time_dissatisfaction_starvation(
     config = bench_config().with_workload(
         WorkloadSpec.fixed(0.8)
     ).with_departures(rules)
-    family = run_method_family(
-        config, ("sqlb", "capacity", "mariposa"), BENCH_SEEDS
-    )
-    sqlb_loss = family["sqlb"].provider_departure_fraction()
-    assert sqlb_loss < family["capacity"].provider_departure_fraction()
-    assert sqlb_loss < family["mariposa"].provider_departure_fraction()
+    loss = {
+        method: np.mean(
+            [
+                r.provider_departure_fraction()
+                for r in run_repeated(config, method, BENCH_SEEDS)
+            ]
+        )
+        for method in ("sqlb", "capacity", "mariposa")
+    }
+    assert loss["sqlb"] < loss["capacity"]
+    assert loss["sqlb"] < loss["mariposa"]

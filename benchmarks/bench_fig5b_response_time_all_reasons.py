@@ -12,52 +12,45 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import BENCH_SEEDS, BENCH_WORKLOADS, bench_config
+from conftest import BENCH_SEEDS, bench_config
 
-from repro.experiments.autonomy import departure_response_times
-from repro.experiments.captive import response_time_curve
-from repro.experiments.report import format_curve_table
+from repro.experiments.paper import (
+    PAPER_WORKLOADS,
+    figure_values,
+    format_figure,
+    run_figure,
+)
 
 
 def test_fig5b_response_time_all_reasons(benchmark, report_writer):
-    curve = benchmark.pedantic(
-        departure_response_times,
-        kwargs={
-            "include_overutilization": True,
-            "config": bench_config(),
-            "seeds": BENCH_SEEDS,
-            "workloads": BENCH_WORKLOADS,
-        },
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("5b",),
+        kwargs={"seeds": BENCH_SEEDS, "base": bench_config()},
         rounds=1,
         iterations=1,
     )
     report_writer(
         "fig5b_response_time_all_reasons",
-        format_curve_table(
-            curve.workloads,
-            curve.response_times,
-            value_label=(
-                "Fig 5(b): response time (s), all departure reasons"
-            ),
+        format_figure(
+            "5b",
+            payload,
+            "Fig 5(b): response time (s), all departure reasons",
         ),
     )
+    curve = figure_values("5b", payload)
 
-    sqlb = curve.response_times["sqlb"]
-    mariposa = curve.response_times["mariposa"]
+    sqlb = curve["sqlb"]
+    mariposa = curve["mariposa"]
     # SQLB beats Mariposa-like across the mid-range workloads (see the
     # Figure 5(a) bench and EXPERIMENTS.md for the saturation caveat).
-    mid = [i for i, w in enumerate(BENCH_WORKLOADS) if 0.3 <= w <= 0.9]
+    mid = [i for i, w in enumerate(PAPER_WORKLOADS) if 0.3 <= w <= 0.9]
     assert sqlb[mid].mean() < mariposa[mid].mean()
 
-    # SQLB's degradation versus its own captive runs stays bounded over
-    # the mid-range (the paper reports a factor of about 1.4).
-    captive = response_time_curve(
-        config=bench_config(),
-        seeds=BENCH_SEEDS,
-        workloads=BENCH_WORKLOADS,
-        methods=("sqlb",),
+    # SQLB's degradation versus its own captive runs (Figure 4(i)) stays
+    # bounded over the mid-range (the paper reports a factor of about 1.4).
+    captive = figure_values(
+        "4i", run_figure("4i", seeds=BENCH_SEEDS, base=bench_config())
     )
-    degradation = float(
-        np.mean(sqlb[mid] / captive.response_times["sqlb"][mid])
-    )
+    degradation = float(np.mean(sqlb[mid] / captive["sqlb"][mid]))
     assert degradation < 2.5

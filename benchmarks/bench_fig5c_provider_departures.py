@@ -9,33 +9,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import BENCH_SEEDS, BENCH_WORKLOADS, bench_config
+from conftest import BENCH_SEEDS, bench_config
 
-from repro.experiments.autonomy import provider_departure_curve
-from repro.experiments.report import format_curve_table
+from repro.experiments.paper import (
+    PAPER_WORKLOADS,
+    figure_values,
+    format_figure,
+    run_figure,
+)
 
 
 def test_fig5c_provider_departures(benchmark, report_writer):
-    curve = benchmark.pedantic(
-        provider_departure_curve,
-        kwargs={
-            "config": bench_config(),
-            "seeds": BENCH_SEEDS,
-            "workloads": BENCH_WORKLOADS,
-        },
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("5c",),
+        kwargs={"seeds": BENCH_SEEDS, "base": bench_config()},
         rounds=1,
         iterations=1,
     )
-    percents = {m: 100.0 * v for m, v in curve.items()}
     report_writer(
         "fig5c_provider_departures",
-        format_curve_table(
-            BENCH_WORKLOADS,
-            percents,
-            value_label="Fig 5(c): provider departures (%)",
-            precision=1,
-        ),
+        format_figure("5c", payload, "Fig 5(c): provider departures (%)"),
     )
+    curve = figure_values("5c", payload)
 
     sqlb = curve["sqlb"]
     capacity = curve["capacity"]
@@ -44,7 +40,7 @@ def test_fig5c_provider_departures(benchmark, report_writer):
     # mid-range workloads.  (At the extremes our scaled reproduction
     # deviates: SQLB's preference concentration also bleeds providers
     # at 20 % and at full saturation — see EXPERIMENTS.md.)
-    mid = [i for i, w in enumerate(BENCH_WORKLOADS) if 0.3 <= w <= 0.9]
+    mid = [i for i, w in enumerate(PAPER_WORKLOADS) if 0.3 <= w <= 0.9]
     assert (sqlb[mid] <= capacity[mid] + 1e-9).all()
     assert (sqlb[mid] <= mariposa[mid] + 1e-9).all()
     # Averages over the mid-range: SQLB moderate, baselines heavy

@@ -8,33 +8,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import BENCH_SEEDS, BENCH_WORKLOADS, bench_config
+from conftest import BENCH_SEEDS, bench_config
 
-from repro.experiments.autonomy import consumer_departure_curve
-from repro.experiments.report import format_curve_table
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_fig6_consumer_departures(benchmark, report_writer):
-    curve = benchmark.pedantic(
-        consumer_departure_curve,
-        kwargs={
-            "config": bench_config(),
-            "seeds": BENCH_SEEDS,
-            "workloads": BENCH_WORKLOADS,
-        },
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("6",),
+        kwargs={"seeds": BENCH_SEEDS, "base": bench_config()},
         rounds=1,
         iterations=1,
     )
-    percents = {m: 100.0 * v for m, v in curve.items()}
     report_writer(
         "fig6_consumer_departures",
-        format_curve_table(
-            BENCH_WORKLOADS,
-            percents,
-            value_label="Fig 6: consumer departures (%)",
-            precision=1,
-        ),
+        format_figure("6", payload, "Fig 6: consumer departures (%)"),
     )
+    curve = figure_values("6", payload)
 
     # SQLB: no consumer departures at any workload.
     assert (curve["sqlb"] == 0.0).all()

@@ -13,43 +13,43 @@ from __future__ import annotations
 
 from conftest import BENCH_SEEDS, bench_config
 
-from repro.experiments.autonomy import departure_reason_table
-from repro.experiments.report import format_reason_table
+from repro.experiments.paper import figure_values, format_figure, run_figure
 
 
 def test_table3_departure_reasons(benchmark, report_writer):
-    tables = benchmark.pedantic(
-        departure_reason_table,
-        kwargs={
-            "workload": 0.80,
-            "config": bench_config(),
-            "seeds": BENCH_SEEDS,
-        },
+    payload = benchmark.pedantic(
+        run_figure,
+        args=("table3",),
+        kwargs={"seeds": BENCH_SEEDS, "base": bench_config()},
         rounds=1,
         iterations=1,
     )
     report_writer(
-        "table3_departure_reasons", format_reason_table(tables)
+        "table3_departure_reasons", format_figure("table3", payload)
     )
+    tables = figure_values("table3", payload)
 
     for table in tables.values():
         # The paper's structural invariant: each class-dimension row of
         # a reason sums to that reason's total.
-        table.check_consistency(tolerance=1e-6)
+        for reason, dims in table["cells"].items():
+            for bands in dims.values():
+                row_sum = sum(bands.values())
+                assert abs(row_sum - table["totals"][reason]) <= 1e-6
 
-    sqlb = tables["sqlb"]
-    capacity = tables["capacity"]
-    mariposa = tables["mariposa"]
+    sqlb = tables["sqlb"]["totals"]
+    capacity = tables["capacity"]["totals"]
+    mariposa = tables["mariposa"]["totals"]
 
     # Capacity based: dissatisfaction is the dominant reason.
-    assert capacity.totals["dissatisfaction"] >= max(
-        capacity.totals["starvation"], capacity.totals["overutilization"]
+    assert capacity["dissatisfaction"] >= max(
+        capacity["starvation"], capacity["overutilization"]
     )
     # Mariposa-like: load pathologies claim a substantial share.
     load_pathologies = (
-        mariposa.totals["starvation"] + mariposa.totals["overutilization"]
+        mariposa["starvation"] + mariposa["overutilization"]
     )
     assert load_pathologies > 0.0
     # SQLB loses the fewest providers overall.
-    assert sum(sqlb.totals.values()) < sum(capacity.totals.values())
-    assert sum(sqlb.totals.values()) < sum(mariposa.totals.values())
+    assert sum(sqlb.values()) < sum(capacity.values())
+    assert sum(sqlb.values()) < sum(mariposa.values())

@@ -1,15 +1,19 @@
 """Shared configuration for the benchmark suite.
 
 Every bench regenerates one table or figure of the paper (see DESIGN.md
-§3): it runs the corresponding experiment (heavily memoised, so benches
-sharing a simulation family only pay once), prints the same rows/series
-the paper reports, writes them under ``benchmarks/output/``, and asserts
-the shape-level claims from Section 6.3.
+§3): it runs the figure's grid through
+:func:`repro.experiments.paper.run_figure` (or, for the ablations and
+extensions, :func:`repro.experiments.harness.run_repeated`), prints the
+same rows/series the paper reports, writes them under
+``benchmarks/output/``, and asserts the shape-level claims from Section
+6.3.  Runs are shared through the session's result store, so benches
+drawn from the same runs simulate them once; with ``--no-cache`` each
+bench simulates its own grid.
 
 Scale note: benches run the *scaled* environment (DESIGN.md §2.4) with a
-single repetition seed so the full suite finishes in minutes; pass the
-paper configuration through the experiment functions for
-paper-strength averaging.
+single repetition seed so the full suite finishes in minutes; pass more
+seeds or the paper configuration to ``run_figure`` for paper-strength
+averaging.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from repro.simulation.config import scaled_config
 #: One repetition keeps the suite fast; the harness supports any number.
 BENCH_SEEDS = (11,)
 
-#: Workload grid for the per-workload curves (the paper plots 20-100 %).
-BENCH_WORKLOADS = (0.2, 0.4, 0.6, 0.8, 1.0)
-
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 #: Where the benches persist completed simulations between sessions.
 RESULT_STORE_DIR = OUTPUT_DIR / ".result_store"
+
+#: Where the session's executor is kept for the terminal summary.
+_EXECUTOR = pytest.StashKey()
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -64,8 +68,19 @@ def experiment_executor(request):
             or RESULT_STORE_DIR
         )
     executor = configure_default_executor(workers=workers, cache_dir=cache_dir)
+    request.config.stash[_EXECUTOR] = executor
     yield executor
     set_default_executor(None)
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """Report how many runs the session simulated (store hits excluded),
+    so a warm re-run can be checked to have simulated none."""
+    executor = config.stash.get(_EXECUTOR, None)
+    if executor is not None:
+        terminalreporter.write_line(
+            f"bench executor: simulations_run={executor.simulations_run}"
+        )
 
 
 def bench_config():

@@ -34,8 +34,6 @@ from repro.experiments.executor import (
 from repro.experiments.harness import (
     DEFAULT_SEEDS,
     PAPER_SEEDS,
-    MethodAverages,
-    run_method_family,
     run_repeated,
 )
 from repro.analysis import (
@@ -101,7 +99,6 @@ __all__ = [
     "ExperimentExecutor",
     "MariposaMethod",
     "MediatorSimulation",
-    "MethodAverages",
     "ProviderProfile",
     "ResultStore",
     "SQLBAllocation",
@@ -136,7 +133,6 @@ __all__ = [
     "provider_intention",
     "provider_score",
     "render_catalog",
-    "run_method_family",
     "run_repeated",
     "run_simulation",
     "scaled_config",

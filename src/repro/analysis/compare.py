@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._checks import check_number
 from repro.analysis.metrics import get_metric
 from repro.analysis.series import (
     cell_scalar_map,
@@ -163,6 +164,13 @@ def compare_stores(
             "thresholds given for metrics not being compared: "
             f"{sorted(unknown)}"
         )
+    # A cell is flagged when relative > threshold, which a NaN threshold
+    # never is: refuse it (and negative or infinite ones) up front.
+    check_number(
+        "compare_stores", "default_threshold", default_threshold, ge=0
+    )
+    for name, value in thresholds.items():
+        check_number("compare_stores", f"thresholds[{name!r}]", value, ge=0)
     resolved = [get_metric(name) for name in metrics]
     cells_a, stale_a = cells_from_store(root_a)
     cells_b, stale_b = cells_from_store(root_b)

@@ -60,6 +60,7 @@ __all__ = [
     "RenderReport",
     "available_figures",
     "figure_payload",
+    "figure_payloads",
     "matplotlib_available",
     "payload_bytes",
     "render_catalog",
@@ -115,8 +116,12 @@ class FigureSpec:
 
     ``kind`` is ``series`` (per-scenario evolution bands of one sampled
     series), ``departures`` (provider/consumer departure-fraction bars
-    per cell), or ``delta`` (per-scenario metric deltas of every method
-    against the baseline method).
+    per cell), ``delta`` (per-scenario metric deltas of every method
+    against the baseline method), ``curve`` (the across-seed mean of a
+    metric per cell) or ``reasons`` (Table 3's departure reasons by
+    class band, per cell).  The catalog declares the first three; the
+    paper's Figure 4(i)-6 curves and Table 3 are ``curve`` and
+    ``reasons`` specs (see :mod:`repro.experiments.paper`).
     """
 
     name: str
@@ -240,7 +245,7 @@ def _series_payload(
 
 
 def _departures_payload(
-    store: ResultStore, cells: list[CellRuns]
+    store: ResultStore, spec: FigureSpec, cells: list[CellRuns]
 ) -> dict:
     provider = get_metric("provider_departure_fraction")
     consumer = get_metric("consumer_departure_fraction")
@@ -291,6 +296,119 @@ def _departures_payload(
     return {"scenarios": scenarios, "missing": missing}
 
 
+def _scenario_means(
+    store: ResultStore,
+    metric,
+    scenario: str,
+    by_method: dict[str, CellRuns],
+    missing: list[dict],
+) -> dict[str, float]:
+    """Across-seed NaN-aware mean of one metric per method, in method
+    order, over the seeds in sorted order; unreadable seeds are added
+    to ``missing``."""
+    means: dict[str, float] = {}
+    for method in method_order(list(by_method)):
+        values, absent = cell_scalars(
+            store, by_method[method], metric.extract
+        )
+        if absent:
+            missing.append(
+                {"scenario": scenario, "method": method, "seeds": list(absent)}
+            )
+        if values:
+            # errstate does not silence nanmean's all-NaN
+            # RuntimeWarning — that needs the warnings filter, the
+            # same pattern aggregate_band uses.
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", "Mean of empty slice", RuntimeWarning
+                )
+                means[method] = float(
+                    np.nanmean([values[s] for s in sorted(values)])
+                )
+    return means
+
+
+def _curve_payload(
+    store: ResultStore, spec: FigureSpec, cells: list[CellRuns]
+) -> dict:
+    metric = get_metric(spec.metric)
+    scenarios: dict[str, dict] = {}
+    missing: list[dict] = []
+    for scenario, by_method in sorted(_group_cells(cells).items()):
+        means = _scenario_means(store, metric, scenario, by_method, missing)
+        if means:
+            scenarios[scenario] = {
+                "method_order": list(means),
+                "methods": {m: {"mean": v} for m, v in means.items()},
+            }
+    return {"scenarios": scenarios, "missing": missing}
+
+
+#: Table 3's breakdown: provider departure reasons, the three class
+#: dimensions a provider is banded along, and the bands (index order).
+REASONS = ("dissatisfaction", "starvation", "overutilization")
+DIMENSIONS = ("interest", "adaptation", "capacity")
+BANDS = ("low", "medium", "high")
+
+
+def _reason_shares(results: list, n_providers: int) -> dict:
+    """Table 3 for one cell: the percentage of the initial provider
+    population that left for each reason, in total and per band along
+    each dimension (so every dimension's row sums to the total)."""
+    share = 100.0 / (n_providers * len(results))
+    cells = {
+        reason: {dim: dict.fromkeys(BANDS, 0.0) for dim in DIMENSIONS}
+        for reason in REASONS
+    }
+    totals = dict.fromkeys(REASONS, 0.0)
+    for result in results:
+        for record in result.departures:
+            if record.kind != "provider":
+                continue
+            totals[record.reason] += share
+            classes = (
+                record.interest_class,
+                record.adaptation_class,
+                record.capacity_class,
+            )
+            for dimension, band in zip(DIMENSIONS, classes):
+                cells[record.reason][dimension][BANDS[band]] += share
+    return {"cells": cells, "totals": totals}
+
+
+def _reasons_payload(
+    store: ResultStore, spec: FigureSpec, cells: list[CellRuns]
+) -> dict:
+    scenarios: dict[str, dict] = {}
+    missing: list[dict] = []
+    for scenario, by_method in sorted(_group_cells(cells).items()):
+        methods: dict[str, dict] = {}
+        for method in method_order(list(by_method)):
+            cell = by_method[method]
+            results, absent = [], []
+            for seed in sorted(cell.seeds):
+                result = store.get(cell.config, method, seed)
+                if result is None:
+                    absent.append(seed)
+                else:
+                    results.append(result)
+            if absent:
+                missing.append(
+                    {"scenario": scenario, "method": method, "seeds": absent}
+                )
+            if results:
+                methods[method] = _reason_shares(
+                    results, cell.config.n_providers
+                )
+        if methods:
+            scenarios[scenario] = {
+                "method_order": list(methods),
+                "methods": methods,
+            }
+    return {"scenarios": scenarios, "missing": missing}
+
+
 def _delta_payload(
     store: ResultStore, spec: FigureSpec, cells: list[CellRuns]
 ) -> dict:
@@ -298,34 +416,8 @@ def _delta_payload(
     scenarios: dict[str, dict] = {}
     missing: list[dict] = []
     for scenario, by_method in sorted(_group_cells(cells).items()):
-        ordered = method_order(list(by_method))
-        means: dict[str, float] = {}
-        for method in ordered:
-            values, absent = cell_scalars(
-                store, by_method[method], metric.extract
-            )
-            if absent:
-                missing.append(
-                    {
-                        "scenario": scenario,
-                        "method": method,
-                        "seeds": list(absent),
-                    }
-                )
-            if values:
-                # errstate does not silence nanmean's all-NaN
-                # RuntimeWarning — that needs the warnings filter, the
-                # same pattern aggregate_band uses.
-                with np.errstate(invalid="ignore"), (
-                    warnings.catch_warnings()
-                ):
-                    warnings.filterwarnings(
-                        "ignore", "Mean of empty slice", RuntimeWarning
-                    )
-                    means[method] = float(
-                        np.nanmean([values[s] for s in sorted(values)])
-                    )
-        present = [m for m in ordered if m in means]
+        means = _scenario_means(store, metric, scenario, by_method, missing)
+        present = list(means)
         if len(present) < 2:
             continue  # a delta needs a baseline and a comparator
         baseline = present[0]
@@ -351,6 +443,16 @@ def _delta_payload(
     return {"scenarios": scenarios, "missing": missing}
 
 
+#: kind → the function building that kind's ``scenarios``/``missing``.
+_PAYLOADS = {
+    "series": _series_payload,
+    "departures": _departures_payload,
+    "delta": _delta_payload,
+    "curve": _curve_payload,
+    "reasons": _reasons_payload,
+}
+
+
 def figure_payload(
     store: ResultStore, spec: FigureSpec, cells: list[CellRuns]
 ) -> dict:
@@ -361,14 +463,11 @@ def figure_payload(
     ``missing`` concatenated in scenario order), which is how
     :func:`render_catalog` assembles it.
     """
-    if spec.kind == "series":
-        body = _series_payload(store, spec, cells)
-    elif spec.kind == "departures":
-        body = _departures_payload(store, cells)
-    elif spec.kind == "delta":
-        body = _delta_payload(store, spec, cells)
-    else:  # pragma: no cover - catalog is the only FigureSpec source
-        raise ValueError(f"unknown figure kind {spec.kind!r}")
+    try:
+        build = _PAYLOADS[spec.kind]
+    except KeyError:
+        raise ValueError(f"unknown figure kind {spec.kind!r}") from None
+    body = build(store, spec, cells)
     payload = {
         "figure": spec.name,
         "title": spec.title,
@@ -407,10 +506,6 @@ class RenderReport:
     skipped: tuple[str, ...]
     stale_manifests: int
 
-    @property
-    def wrote_everything(self) -> bool:
-        return not self.skipped
-
 
 class _ScenarioReads:
     """One scenario's stored runs, each read from the store at most once.
@@ -423,15 +518,24 @@ class _ScenarioReads:
     ``load_series`` per run over the union of their series, which is
     several times cheaper.  A scenario has one cell per method, so
     (method, seed) names a run; the runs live as long as this object.
+    ``runs`` seeds it with whole results already in memory, keyed the
+    same way; those are served without a read.
     """
 
-    def __init__(self, store: ResultStore, specs: list[FigureSpec]) -> None:
+    def __init__(
+        self,
+        store: ResultStore | None,
+        specs: list[FigureSpec],
+        runs: dict | None = None,
+    ) -> None:
         self._store = store
-        self._whole = any(spec.kind != "series" for spec in specs)
+        self._runs: dict = dict(runs or {})
+        self._whole = bool(self._runs) or any(
+            spec.kind != "series" for spec in specs
+        )
         self._names = tuple(
             sorted({spec.series for spec in specs if spec.kind == "series"})
         )
-        self._runs: dict = {}
 
     def get(self, config, method: str, seed: int):
         key = (method, seed)
@@ -455,6 +559,32 @@ class _ScenarioReads:
             times=run.times(),
             series={name: run.series(name) for name in names},
         )
+
+
+def figure_payloads(
+    store: ResultStore | None,
+    specs: list[FigureSpec],
+    cells: list[CellRuns],
+    runs: dict[str, dict] | None = None,
+) -> dict[str, dict]:
+    """Each spec's payload over ``cells``, built one scenario at a time.
+
+    Every run is read at most once for all the specs (see
+    :class:`_ScenarioReads`), and memory holds one scenario's runs at a
+    time.  ``runs`` maps a scenario to its ``(method, seed) → result``
+    runs already in memory, which are used instead of store reads, so a
+    caller that has just simulated a grid builds its figures from the
+    same code a render uses.
+    """
+    # Each figure starts empty; every scenario's part is merged in.
+    payloads = {spec.name: figure_payload(store, spec, []) for spec in specs}
+    for scenario, by_method in sorted(_group_cells(cells).items()):
+        reads = _ScenarioReads(store, specs, (runs or {}).get(scenario))
+        for spec in specs:
+            part = figure_payload(reads, spec, list(by_method.values()))
+            payloads[spec.name]["scenarios"].update(part["scenarios"])
+            payloads[spec.name]["missing"].extend(part["missing"])
+    return payloads
 
 
 @key_scope()
@@ -511,14 +641,7 @@ def render_catalog(
         for spec in FIGURE_CATALOG
         if only is None or spec.name in only
     ]
-    # Each figure starts empty; every scenario's part is merged in.
-    payloads = {spec.name: figure_payload(store, spec, []) for spec in specs}
-    for _, by_method in sorted(_group_cells(cells).items()):
-        reads = _ScenarioReads(store, specs)
-        for spec in specs:
-            part = figure_payload(reads, spec, list(by_method.values()))
-            payloads[spec.name]["scenarios"].update(part["scenarios"])
-            payloads[spec.name]["missing"].extend(part["missing"])
+    payloads = figure_payloads(store, specs, cells)
     for spec in specs:
         payload = payloads[spec.name]
         if not payload["scenarios"]:

@@ -134,19 +134,8 @@ from repro.experiments.executor import (
     get_default_executor,
     workers_from_environment,
 )
-from repro.experiments.autonomy import (
-    consumer_departure_curve,
-    departure_reason_table,
-    departure_response_times,
-    provider_departure_curve,
-)
-from repro.experiments.captive import (
-    DEFAULT_WORKLOADS,
-    FIGURE4_SERIES,
-    captive_ramp,
-    response_time_curve,
-)
 from repro.experiments.harness import DEFAULT_SEEDS, PAPER_SEEDS
+from repro.experiments.paper import PAPER_FIGURES, format_figure, run_figure
 from repro.experiments.perf import (
     append_history,
     compare_reports,
@@ -156,11 +145,6 @@ from repro.experiments.perf import (
     load_report,
     run_perf,
     write_report,
-)
-from repro.experiments.report import (
-    format_curve_table,
-    format_reason_table,
-    format_series_table,
 )
 from repro.reliability.durability import atomic_write
 from repro.simulation.config import (
@@ -226,7 +210,7 @@ from repro.sweeps.runner import environment_hash, write_manifest
 
 __all__ = ["build_parser", "main"]
 
-FIGURES = tuple(FIGURE4_SERIES) + ("4i", "5a", "5b", "5c", "6", "table3")
+FIGURES = tuple(PAPER_FIGURES)
 
 #: Seed-list sugar accepted wherever ``--seeds`` takes values.
 SEED_KEYWORDS = {"paper": PAPER_SEEDS, "default": DEFAULT_SEEDS}
@@ -1022,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_compare.add_argument(
         "--default-threshold",
-        type=positive_float,
+        type=_number(ge=0),
         default=DEFAULT_THRESHOLD,
         metavar="FRACTION",
         help="gate for metrics without an explicit --threshold "
@@ -1359,52 +1343,8 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_figure(args: argparse.Namespace) -> str:
-    seeds = resolve_seeds(args.seeds)
-    which = args.which
-    if which in FIGURE4_SERIES:
-        family = captive_ramp(seeds=seeds)
-        series = FIGURE4_SERIES[which]
-        times = next(iter(family.values())).times()
-        return format_series_table(
-            times,
-            {m: family[m].series(series) for m in family},
-            value_label=f"Figure {which}: {series}",
-        )
-    if which == "4i":
-        curve = response_time_curve(seeds=seeds)
-        return format_curve_table(
-            curve.workloads,
-            curve.response_times,
-            value_label="Figure 4(i): response time (s), captive",
-        )
-    if which in ("5a", "5b"):
-        curve = departure_response_times(
-            include_overutilization=(which == "5b"), seeds=seeds
-        )
-        return format_curve_table(
-            curve.workloads,
-            curve.response_times,
-            value_label=f"Figure {which}: response time (s), autonomous",
-        )
-    if which == "5c":
-        curve = provider_departure_curve(seeds=seeds)
-        return format_curve_table(
-            DEFAULT_WORKLOADS,
-            {m: 100.0 * v for m, v in curve.items()},
-            value_label="Figure 5(c): provider departures (%)",
-            precision=1,
-        )
-    if which == "6":
-        curve = consumer_departure_curve(seeds=seeds)
-        return format_curve_table(
-            DEFAULT_WORKLOADS,
-            {m: 100.0 * v for m, v in curve.items()},
-            value_label="Figure 6: consumer departures (%)",
-            precision=1,
-        )
-    if which == "table3":
-        return format_reason_table(departure_reason_table(seeds=seeds))
-    raise AssertionError(f"unhandled figure {which!r}")  # pragma: no cover
+    payload = run_figure(args.which, resolve_seeds(args.seeds))
+    return format_figure(args.which, payload)
 
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:

@@ -1,23 +1,11 @@
 """Experiment harness regenerating every table and figure of the paper.
 
-See DESIGN.md §3 for the experiment index.  The benches in
-``benchmarks/`` are thin wrappers over these functions.
+See DESIGN.md §3 for the experiment index.  The paper's figures are
+declared in :mod:`repro.experiments.paper`; the benches in
+``benchmarks/`` are thin wrappers over its ``run_figure`` and the
+harness's ``run_repeated``.
 """
 
-from repro.experiments.autonomy import (
-    DepartureReasonTable,
-    consumer_departure_curve,
-    departure_reason_table,
-    departure_response_times,
-    provider_departure_curve,
-)
-from repro.experiments.captive import (
-    DEFAULT_WORKLOADS,
-    FIGURE4_SERIES,
-    captive_ramp,
-    captive_ramp_config,
-    response_time_curve,
-)
 from repro.experiments.executor import (
     ExperimentExecutor,
     SimulationJob,
@@ -27,9 +15,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.harness import (
     DEFAULT_SEEDS,
-    MethodAverages,
     average_series,
-    run_method_family,
     run_repeated,
 )
 from repro.experiments.perf import (
@@ -53,25 +39,16 @@ from repro.experiments.report import (
 
 __all__ = [
     "DEFAULT_SEEDS",
-    "DEFAULT_WORKLOADS",
-    "DepartureReasonTable",
     "DepartureRiskReport",
     "ExperimentExecutor",
-    "FIGURE4_SERIES",
-    "MethodAverages",
     "PERF_MATRIX",
     "PerfCell",
     "ResultStore",
     "SimulationJob",
     "average_series",
     "cache_key",
-    "captive_ramp",
-    "captive_ramp_config",
     "compare_reports",
     "configure_default_executor",
-    "consumer_departure_curve",
-    "departure_reason_table",
-    "departure_response_times",
     "format_curve_table",
     "format_reason_table",
     "format_report",
@@ -79,9 +56,6 @@ __all__ = [
     "format_surface",
     "get_default_executor",
     "predict_departure_risks",
-    "provider_departure_curve",
-    "response_time_curve",
-    "run_method_family",
     "run_perf",
     "run_repeated",
     "set_default_executor",

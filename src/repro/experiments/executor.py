@@ -26,7 +26,7 @@ suite configure via :func:`configure_default_executor`.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -287,16 +287,6 @@ class ExperimentExecutor:
 # ---------------------------------------------------------------------
 
 _default_executor: ExperimentExecutor | None = None
-_invalidation_hooks: list[Callable[[], None]] = []
-
-
-def register_invalidation_hook(hook: Callable[[], None]) -> None:
-    """Run ``hook`` whenever the default executor is replaced.
-
-    The harness registers its ``lru_cache`` clear here so in-process
-    memos never outlive the executor (and store) that produced them.
-    """
-    _invalidation_hooks.append(hook)
 
 
 def get_default_executor() -> ExperimentExecutor:
@@ -313,15 +303,9 @@ def get_default_executor() -> ExperimentExecutor:
 
 
 def set_default_executor(executor: ExperimentExecutor | None) -> None:
-    """Replace the default executor (``None`` resets to lazy env-based).
-
-    Also clears every registered in-process memo so subsequent requests
-    go through the new executor.
-    """
+    """Replace the default executor (``None`` resets to lazy env-based)."""
     global _default_executor
     _default_executor = executor
-    for hook in _invalidation_hooks:
-        hook()
 
 
 def configure_default_executor(

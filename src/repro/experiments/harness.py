@@ -1,26 +1,24 @@
-"""Experiment orchestration: repetitions, aggregation, caching.
+"""Experiment orchestration: repetitions and across-seed averages.
 
 The paper repeats every simulation 10 times (``nbRepeat`` in Table 2)
-and reports averages.  The harness runs one (config, method) pair over a
-seed set, averages the sampled series across repetitions (the sampling
-grid is deterministic, so series align exactly), and memoises whole
-experiment families so that the eight Figure 4 benches share one set of
-simulations instead of re-running it eight times.
+and reports averages.  :func:`run_repeated` runs one (config, method)
+pair over a seed set and :func:`average_series` averages a sampled
+series across the repetitions (the sampling grid is deterministic, so
+series align exactly).  The paper's figures run whole grids through
+:mod:`repro.experiments.paper`.
 
 Every simulation is routed through the default
 :class:`~repro.experiments.executor.ExperimentExecutor`: with
-``workers > 1`` the repetitions of a family fan out over a process pool,
-and with a configured :class:`~repro.experiments.store.ResultStore` the
-results persist across interpreter sessions — a warm re-run of an
-experiment family performs zero new simulations.  The serial, store-less
-default reproduces the historical behaviour exactly.
+``workers > 1`` the repetitions fan out over a process pool, and with a
+configured :class:`~repro.experiments.store.ResultStore` the results
+persist across interpreter sessions — a warm re-run performs zero new
+simulations.  The serial, store-less default reproduces the historical
+behaviour exactly.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from repro.experiments.executor import (
     ExperimentExecutor,
     SimulationJob,
     get_default_executor,
-    register_invalidation_hook,
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationResult
@@ -36,10 +33,8 @@ from repro.simulation.engine import SimulationResult
 __all__ = [
     "DEFAULT_SEEDS",
     "PAPER_SEEDS",
-    "MethodAverages",
     "average_series",
     "run_repeated",
-    "run_method_family",
 ]
 
 #: Default repetition seeds.  The paper uses nbRepeat = 10; three
@@ -88,66 +83,3 @@ def average_series(results: list[SimulationResult], name: str) -> np.ndarray:
             "ignore", "Mean of empty slice", RuntimeWarning
         )
         return np.nanmean(stacked, axis=0)
-
-
-@dataclass(frozen=True)
-class MethodAverages:
-    """Averaged view of one method's repetitions."""
-
-    method: str
-    results: tuple[SimulationResult, ...]
-
-    def times(self) -> np.ndarray:
-        return self.results[0].times()
-
-    def series(self, name: str) -> np.ndarray:
-        return average_series(list(self.results), name)
-
-    def response_time(self) -> float:
-        """Across-repetition mean of the post-warmup response time."""
-        values = [r.response_time_post_warmup for r in self.results]
-        return float(np.nanmean(values))
-
-    def provider_departure_fraction(self) -> float:
-        return float(
-            np.mean([r.provider_departure_fraction() for r in self.results])
-        )
-
-    def consumer_departure_fraction(self) -> float:
-        return float(
-            np.mean([r.consumer_departure_fraction() for r in self.results])
-        )
-
-
-@lru_cache(maxsize=64)
-def run_method_family(
-    config: SimulationConfig, methods: tuple[str, ...], seeds: tuple[int, ...]
-) -> dict[str, MethodAverages]:
-    """Run every method over every seed, memoised.
-
-    ``SimulationConfig`` is a frozen dataclass of scalars and frozen
-    sub-configs, hence hashable — identical experiment requests from
-    different benches hit the in-process memo instead of re-simulating.
-    The full ``methods × seeds`` cross product is submitted to the
-    default executor as one batch so parallelism spans the whole family,
-    and store hits (from earlier sessions) skip simulation entirely.
-    """
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    executor = get_default_executor()
-    jobs = [
-        SimulationJob(config, method, seed)
-        for method in methods
-        for seed in seeds
-    ]
-    results = executor.run(jobs)
-    family: dict[str, MethodAverages] = {}
-    for index, method in enumerate(methods):
-        chunk = results[index * len(seeds) : (index + 1) * len(seeds)]
-        family[method] = MethodAverages(method=method, results=tuple(chunk))
-    return family
-
-
-# A replaced default executor (new store, new worker count) must not
-# serve memoised families computed through the old one.
-register_invalidation_hook(run_method_family.cache_clear)

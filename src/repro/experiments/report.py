@@ -81,11 +81,12 @@ def format_curve_table(
     return "\n".join(lines)
 
 
-def format_reason_table(tables: Mapping[str, object]) -> str:
+def format_reason_table(tables: Mapping[str, Mapping]) -> str:
     """Render the Table 3 structure for every method.
 
-    ``tables`` maps method name to
-    :class:`repro.experiments.autonomy.DepartureReasonTable`.
+    ``tables`` maps method name to the method's entry in a ``reasons``
+    figure payload: ``cells[reason][dimension][band]`` and
+    ``totals[reason]``, percentages of the initial provider population.
     """
     lines = []
     for method, table in tables.items():
@@ -94,8 +95,8 @@ def format_reason_table(tables: Mapping[str, object]) -> str:
             f"{'reason':<18} {'dimension':<12} "
             f"{'low':>7} {'medium':>7} {'high':>7} {'total':>7}"
         )
-        for reason, dims in table.cells.items():
-            total = table.totals[reason]
+        for reason, dims in table["cells"].items():
+            total = table["totals"][reason]
             for dimension, bands in dims.items():
                 lines.append(
                     f"{reason:<18} {dimension:<12} "

@@ -28,7 +28,6 @@ from repro.experiments.executor import (
     SimulationJob,
     get_default_executor,
 )
-from repro.experiments.harness import MethodAverages
 from repro.experiments.store import key_scope
 from repro.scheduler.queue import WorkQueue
 from repro.simulation.engine import ENGINE_VERSION
@@ -521,10 +520,5 @@ def queue_report(
                     for seed in cell.seeds
                 ]
             )
-            summaries.append(
-                summarize_cell(
-                    scenario,
-                    MethodAverages(method=method, results=tuple(results)),
-                )
-            )
+            summaries.append(summarize_cell(scenario, method, results))
     return summaries

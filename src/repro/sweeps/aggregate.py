@@ -12,9 +12,7 @@ Two halves:
   (scenario, method) summary of a sweep: *means and quantiles* across
   the repetition seeds, not just means (a method that is fast on
   average but terrible at p90 is exactly what distributional reporting
-  exists to catch).  Built on the same
-  :class:`~repro.experiments.harness.MethodAverages` the figure
-  experiments use, reading results incrementally from the store — a
+  exists to catch).  Results are read through the executor, so a
   fully warm store yields a report with zero new simulations.
 """
 
@@ -30,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.executor import ExperimentExecutor
-from repro.experiments.harness import MethodAverages
 from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import SimulationResult
 from repro.sweeps.runner import SweepRunner, manifest_directory
 from repro.sweeps.spec import SweepSpec
 
@@ -57,9 +55,6 @@ SUMMARY_QUANTILES = (0.5, 0.9)
 #: summary, the adaptive seeding controller, and the analysis layer's
 #: series bands all report.  One constant, one definition of "CI".
 CI_Z = 1.96
-
-# Backwards-compatible private alias (pre-analysis-subsystem name).
-_CI_Z = CI_Z
 
 
 def ci_halfwidth(values: Sequence[float]) -> float:
@@ -188,7 +183,7 @@ class ScenarioMethodSummary:
 
 
 def summarize_cell(
-    scenario: str, averages: MethodAverages
+    scenario: str, method: str, results: Sequence[SimulationResult]
 ) -> ScenarioMethodSummary:
     """Distributional summary of one (scenario, method) cell.
 
@@ -197,9 +192,7 @@ def summarize_cell(
     runtime warnings escape — an all-NaN metric (e.g. a run with no
     post-warmup queries) is an expected outcome, not an accident.
     """
-    per_seed = np.asarray(
-        [r.response_time_post_warmup for r in averages.results]
-    )
+    per_seed = np.asarray([r.response_time_post_warmup for r in results])
     with np.errstate(invalid="ignore"), warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", "All-NaN slice encountered", RuntimeWarning
@@ -214,20 +207,24 @@ def summarize_cell(
             np.nanmean(
                 [
                     r.series("provider_intention_satisfaction_mean")[-1]
-                    for r in averages.results
+                    for r in results
                 ]
             )
         )
-        response_time_mean = averages.response_time()
+        response_time_mean = float(np.nanmean(per_seed))
     return ScenarioMethodSummary(
         scenario=scenario,
-        method=averages.method,
-        seeds=len(averages.results),
+        method=method,
+        seeds=len(results),
         response_time_mean=response_time_mean,
         response_time_quantiles=quantiles,
         response_time_ci_halfwidth=ci_halfwidth(per_seed.tolist()),
-        provider_departure_fraction=averages.provider_departure_fraction(),
-        consumer_departure_fraction=averages.consumer_departure_fraction(),
+        provider_departure_fraction=float(
+            np.mean([r.provider_departure_fraction() for r in results])
+        ),
+        consumer_departure_fraction=float(
+            np.mean([r.consumer_departure_fraction() for r in results])
+        ),
         provider_satisfaction=final_satisfaction,
     )
 
@@ -257,11 +254,9 @@ def sweep_summary(
     summaries = []
     for scenario in spec.scenarios:
         for method in spec.methods:
-            averages = MethodAverages(
-                method=method,
-                results=tuple(by_cell[(scenario, method)]),
+            summaries.append(
+                summarize_cell(scenario, method, by_cell[(scenario, method)])
             )
-            summaries.append(summarize_cell(scenario, averages))
     return summaries
 
 

@@ -112,6 +112,37 @@ class TestCompareStores:
                 thresholds={"provider_satisfaction": 0.1},
             )
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), -1.0]
+    )
+    @pytest.mark.parametrize("where", ["default", "per-metric"])
+    def test_a_threshold_that_cannot_gate_is_refused_before_reading(
+        self, warm_store, regressed_store, monkeypatch, value, where
+    ):
+        if where == "default":
+            kwargs = {"default_threshold": value}
+            name = "default_threshold"
+        else:
+            kwargs = {"thresholds": {"response_time_post_warmup": value}}
+            name = "thresholds['response_time_post_warmup']"
+        monkeypatch.setattr(
+            "repro.analysis.compare.cells_from_store",
+            lambda root: pytest.fail("a store was read"),
+        )
+        with pytest.raises(ValueError) as error:
+            compare_stores(warm_store.root, regressed_store, **kwargs)
+        assert f"compare_stores.{name} must be non-negative" in str(
+            error.value
+        )
+
+    def test_a_zero_threshold_flags_any_worsening(
+        self, warm_store, regressed_store
+    ):
+        report = compare_stores(
+            warm_store.root, regressed_store, default_threshold=0.0
+        )
+        assert not report.ok
+
     def test_disjoint_cells_are_reported_not_failed(
         self, warm_store, tmp_path
     ):

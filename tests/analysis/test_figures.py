@@ -12,8 +12,10 @@ import pytest
 
 from repro.analysis.figures import (
     FIGURE_CATALOG,
+    FigureSpec,
     available_figures,
     figure_payload,
+    figure_payloads,
     matplotlib_available,
     method_color,
     method_order,
@@ -28,6 +30,7 @@ from repro.analysis.series import (
     cells_from_store,
     jsonable,
 )
+from repro.experiments.harness import run_repeated
 from repro.experiments.store import ResultStore, cache_key
 from repro.simulation.engine import ENGINE_VERSION
 from repro.sweeps.aggregate import ci_halfwidth
@@ -39,6 +42,25 @@ SERIES_FIGURES = tuple(
 
 def catalog_spec(name):
     return next(spec for spec in FIGURE_CATALOG if spec.name == name)
+
+
+#: The two kinds the paper's figures add beside the catalog's three.
+REASONS_SPEC = FigureSpec(
+    name="reasons", title="Table 3", kind="reasons", ylabel="departed (%)"
+)
+
+
+def curve_spec(metric):
+    return FigureSpec(
+        name=metric, title=metric, kind="curve", ylabel="y", metric=metric
+    )
+
+
+def cell_runs(warm_store, cell):
+    """One cell's results, read back through the harness."""
+    return run_repeated(
+        cell.config, cell.method, cell.seeds, executor=warm_store.executor
+    )
 
 
 class TestMethodColors:
@@ -122,6 +144,101 @@ class TestPayloads:
                 assert entry["delta"] == pytest.approx(
                     entry["mean"] - entry["baseline_mean"]
                 )
+
+
+class TestPaperKinds:
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            "response_time_post_warmup",
+            "provider_departure_fraction",
+            "consumer_departure_fraction",
+        ],
+    )
+    def test_curve_is_the_nanmean_of_the_metric_per_cell(
+        self, warm_store, metric
+    ):
+        cells, _ = cells_from_store(warm_store.root)
+        payload = figure_payload(warm_store.store, curve_spec(metric), cells)
+        assert payload["missing"] == []
+        for cell in cells:
+            values = [
+                get_metric(metric).extract(run)
+                for run in cell_runs(warm_store, cell)
+            ]
+            body = payload["scenarios"][cell.scenario]
+            assert body["method_order"] == ["sqlb", "capacity"]
+            assert body["methods"][cell.method] == {
+                "mean": float(np.nanmean(values))
+            }
+
+    def test_reasons_walk_the_provider_departure_records(self, warm_store):
+        cells, _ = cells_from_store(warm_store.root)
+        payload = figure_payload(warm_store.store, REASONS_SPEC, cells)
+        assert payload["missing"] == []
+        bands = ("low", "medium", "high")
+        departed = 0.0
+        for cell in cells:
+            runs = cell_runs(warm_store, cell)
+            share = 100.0 / (cell.config.n_providers * len(runs))
+            totals, shares = {}, {}
+            for run in runs:
+                for record in run.departures:
+                    if record.kind != "provider":
+                        continue
+                    totals[record.reason] = totals.get(record.reason, 0.0) + share
+                    for dimension, band in (
+                        ("interest", record.interest_class),
+                        ("adaptation", record.adaptation_class),
+                        ("capacity", record.capacity_class),
+                    ):
+                        key = (record.reason, dimension, bands[band])
+                        shares[key] = shares.get(key, 0.0) + share
+            table = payload["scenarios"][cell.scenario]["methods"][cell.method]
+            assert list(table["totals"]) == [
+                "dissatisfaction", "starvation", "overutilization"
+            ]
+            for reason, total in table["totals"].items():
+                assert total == totals.get(reason, 0.0)
+                dims = table["cells"][reason]
+                assert list(dims) == ["interest", "adaptation", "capacity"]
+                for dimension, by_band in dims.items():
+                    assert list(by_band) == list(bands)
+                    for band, value in by_band.items():
+                        assert value == shares.get((reason, dimension, band), 0.0)
+                    # Table 3's invariant: each row sums to its total.
+                    assert sum(by_band.values()) == pytest.approx(
+                        total, abs=1e-9
+                    )
+            assert sum(table["totals"].values()) <= 100.0 + 1e-9
+            departed += sum(table["totals"].values())
+        assert departed > 0.0  # the autonomous cells lose providers
+
+    def test_runs_in_memory_give_the_store_bytes_without_a_read(
+        self, warm_store, store_reads
+    ):
+        cells, _ = cells_from_store(warm_store.root)
+        specs = [
+            *FIGURE_CATALOG,
+            curve_spec("provider_departure_fraction"),
+            REASONS_SPEC,
+        ]
+        expected = {
+            spec.name: payload_bytes(
+                figure_payload(warm_store.store, spec, cells)
+            )
+            for spec in specs
+        }
+        runs = {}
+        for cell in cells:
+            for seed, run in zip(cell.seeds, cell_runs(warm_store, cell)):
+                runs.setdefault(cell.scenario, {})[(cell.method, seed)] = run
+        for calls in store_reads.values():
+            calls.clear()
+        payloads = figure_payloads(None, specs, cells, runs)
+        assert store_reads == {"get": [], "load_series": []}
+        for spec in specs:
+            assert payload_bytes(payloads[spec.name]) == expected[spec.name]
 
 
 class TestRenderCatalog:

@@ -14,7 +14,7 @@ from repro.experiments.executor import (
     get_default_executor,
     set_default_executor,
 )
-from repro.experiments.harness import run_method_family, run_repeated
+from repro.experiments.harness import run_repeated
 from repro.experiments import store as store_module
 from repro.experiments.store import ResultStore
 from repro.simulation.config import tiny_config
@@ -210,32 +210,3 @@ class TestDefaultExecutorWiring:
         run_repeated(config, "sqlb", (1, 2))
         assert executor.simulations_run == 2
         assert executor.store.hits == 2
-
-    def test_run_method_family_cold_then_warm(self, tmp_path):
-        """A family re-request in a fresh executor re-simulates nothing."""
-        config = tiny_config(duration=40.0)
-        methods, seeds = ("sqlb", "capacity"), (1, 2)
-
-        cold = configure_default_executor(workers=1, cache_dir=tmp_path)
-        family = run_method_family(config, methods, seeds)
-        assert cold.simulations_run == len(methods) * len(seeds)
-
-        # A new executor simulates a fresh interpreter session sharing
-        # the same on-disk store (configure also clears the lru memo).
-        warm = configure_default_executor(workers=1, cache_dir=tmp_path)
-        again = run_method_family(config, methods, seeds)
-        assert warm.simulations_run == 0
-        assert warm.store.hits == len(methods) * len(seeds)
-        for method in methods:
-            for left, right in zip(
-                family[method].results, again[method].results
-            ):
-                _assert_results_identical(left, right)
-
-    def test_replacing_executor_clears_family_memo(self, tmp_path):
-        config = tiny_config(duration=40.0)
-        first = configure_default_executor(workers=1)
-        family = run_method_family(config, ("sqlb",), (1,))
-        assert run_method_family(config, ("sqlb",), (1,)) is family
-        configure_default_executor(workers=1)
-        assert run_method_family(config, ("sqlb",), (1,)) is not family

@@ -10,9 +10,7 @@ import pytest
 from repro.experiments.harness import (
     DEFAULT_SEEDS,
     PAPER_SEEDS,
-    MethodAverages,
     average_series,
-    run_method_family,
     run_repeated,
 )
 from repro.simulation.config import tiny_config
@@ -27,13 +25,6 @@ class TestSeedSets:
         """Paper-strength sweeps must reuse every default-seed run
         already sitting in a store, so the sets must nest."""
         assert PAPER_SEEDS[: len(DEFAULT_SEEDS)] == DEFAULT_SEEDS
-
-
-@pytest.fixture(scope="module")
-def family():
-    return run_method_family(
-        tiny_config(duration=60.0), ("sqlb", "capacity"), (1, 2)
-    )
 
 
 class TestRunRepeated:
@@ -103,25 +94,3 @@ class TestAverageSeries:
             all_nan_columns = np.isnan(stack).all(axis=0)
             assert (np.isnan(averaged) == all_nan_columns).all()
 
-
-class TestRunMethodFamily:
-    def test_returns_averages_per_method(self, family):
-        assert set(family) == {"sqlb", "capacity"}
-        assert isinstance(family["sqlb"], MethodAverages)
-        assert len(family["sqlb"].results) == 2
-
-    def test_memoises_identical_requests(self, family):
-        again = run_method_family(
-            tiny_config(duration=60.0), ("sqlb", "capacity"), (1, 2)
-        )
-        assert again is family
-
-    def test_method_averages_helpers(self, family):
-        averages = family["sqlb"]
-        assert averages.times().size > 0
-        assert averages.series("utilization_mean").size == (
-            averages.times().size
-        )
-        assert averages.response_time() > 0
-        assert averages.provider_departure_fraction() == 0.0
-        assert averages.consumer_departure_fraction() == 0.0

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.autonomy import DepartureReasonTable
 from repro.experiments.report import (
     format_curve_table,
     format_reason_table,
@@ -62,17 +61,16 @@ class TestFormatCurveTable:
 
 class TestFormatReasonTable:
     def test_renders_every_reason_and_dimension(self):
-        table = DepartureReasonTable(
-            method="sqlb",
-            cells={
+        table = {
+            "cells": {
                 "dissatisfaction": {
                     "interest": {"low": 1.0, "medium": 2.0, "high": 3.0},
                     "adaptation": {"low": 2.0, "medium": 2.0, "high": 2.0},
                     "capacity": {"low": 3.0, "medium": 2.0, "high": 1.0},
                 }
             },
-            totals={"dissatisfaction": 6.0},
-        )
+            "totals": {"dissatisfaction": 6.0},
+        }
         text = format_reason_table({"sqlb": table})
         assert "== sqlb ==" in text
         assert "dissatisfaction" in text

@@ -638,6 +638,23 @@ class TestAnalyzeParser:
                     ["analyze", "compare", "a", "b", "--threshold", bad]
                 )
 
+    def test_compare_gates_share_one_bound(self, capsys):
+        """Both gates take any non-negative number, zero included."""
+        args = build_parser().parse_args(
+            [
+                "analyze", "compare", "a", "b", "--default-threshold", "0",
+                "--threshold", "response_time_post_warmup=0",
+            ]
+        )
+        assert args.default_threshold == 0.0
+        assert args.threshold == [("response_time_post_warmup", 0.0)]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["analyze", "compare", "a", "b", "--default-threshold=-1"]
+            )
+        assert exit_info.value.code == 2
+        assert "argument --default-threshold:" in capsys.readouterr().err
+
     def test_queue_init_accepts_ci_metric(self):
         args = build_parser().parse_args(
             [
