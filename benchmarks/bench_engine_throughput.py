@@ -4,9 +4,9 @@ Documents how many queries per second the full pipeline (intentions →
 scoring → allocation → queues → satisfaction model) sustains on the
 engine's *standard perf matrix* (captive + autonomous, small +
 paper-scale populations; see ``repro.experiments.perf``), which bounds
-what horizon/population the experiments can use.  The committed
-``BENCH_engine.json`` holds the reference numbers; ``repro perf``
-regenerates them and checks regressions.
+what horizon/population the experiments can use.  The repository
+benchmark (``perfbench/run.py``) is what measures and gates the
+engine's throughput; this bench only prints the matrix's timings.
 """
 
 from __future__ import annotations

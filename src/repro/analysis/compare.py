@@ -54,7 +54,7 @@ DEFAULT_COMPARE_METRICS = (
     "provider_satisfaction",
 )
 
-#: Default relative-worsening threshold (matches the perf gate's 30 %).
+#: Default relative-worsening threshold.
 DEFAULT_THRESHOLD = 0.30
 
 

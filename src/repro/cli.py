@@ -80,12 +80,11 @@ Subcommands::
         diffs two stores cell by cell with per-metric thresholds,
         exiting non-zero on any regression.
 
-    python -m repro perf [--quick] [--out PATH] [--check BASELINE]
-        Time the engine's standard workload matrix (captive + autonomous,
-        small + paper-scale populations) and report queries/sec; --out
-        writes the machine-readable BENCH_engine.json, --check compares
-        against a committed baseline and exits non-zero on a regression
-        beyond --tolerance (default 30 %).
+    python -m repro perf history BENCH_history.jsonl
+        Render the committed perf trend: one row per benchmark run,
+        timestamps in UTC, with a delta against the previous row of the
+        same mode (``--json`` for the raw rows).  The repository
+        benchmark (``perfbench/run.py``) is what times the engine.
 
 The simulation-running subcommands accept ``--cache-dir PATH`` (persist
 completed runs to a disk store so re-invocations skip simulation) and
@@ -136,16 +135,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.harness import DEFAULT_SEEDS, PAPER_SEEDS
 from repro.experiments.paper import PAPER_FIGURES, format_figure, run_figure
-from repro.experiments.perf import (
-    append_history,
-    compare_reports,
-    format_history,
-    format_report,
-    load_history,
-    load_report,
-    run_perf,
-    write_report,
-)
+from repro.experiments.perf import format_history, load_history
 from repro.reliability.durability import atomic_write
 from repro.simulation.config import (
     DepartureRules,
@@ -1020,64 +1010,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="time the engine's standard workload matrix (queries/sec)",
+        help="read the committed perf history (BENCH_history.jsonl)",
     )
-    perf.add_argument(
-        "--quick",
-        action="store_true",
-        help="small-population cells only (seconds, for CI smoke)",
-    )
-    perf.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the machine-readable report JSON here "
-        "(e.g. BENCH_engine.json)",
-    )
-    perf.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare against this baseline JSON; exit 1 when any shared "
-        "cell regresses beyond --tolerance",
-    )
-    perf.add_argument(
-        "--tolerance",
-        type=_number(),
-        default=0.30,
-        help="allowed fractional qps drop before --check fails "
-        "(default 0.30)",
-    )
-    perf.add_argument(
-        "--repeats",
-        type=positive_int,
-        default=2,
-        help="time each cell this many times, report the best "
-        "(default 2; filters scheduler noise out of the gate)",
-    )
-    perf.add_argument(
-        "--no-phases",
-        action="store_true",
-        help="skip the extra instrumented pass that records the "
-        "per-phase timer breakdown (the timed repeats are always "
-        "uninstrumented either way)",
-    )
-    perf.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="append a timestamped JSONL row (qps matrix + phase "
-        "breakdown) to this file, e.g. BENCH_history.jsonl",
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", metavar="")
+    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
     perf_history = perf_sub.add_parser(
         "history",
-        help="render the qps trend from a --history JSONL file",
+        help="render the qps trend of a perf history JSONL file",
     )
     perf_history.add_argument(
         "file",
         metavar="PATH",
-        help="history file written by `repro perf --history PATH`",
+        help="a perf history file, e.g. BENCH_history.jsonl",
     )
     perf_history.add_argument(
         "--json",
@@ -1168,10 +1111,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the machine-readable hotspot payload",
     )
+    # No abbreviations: the retired ``--bench JSON`` must be refused, not
+    # read as a prefix of ``--bench-history``.
     telemetry_bundle_cmd = telemetry_sub.add_parser(
         "bundle",
+        allow_abbrev=False,
         help="render one self-contained HTML ops bundle (timeline, "
-        "phases, counters, bench baseline) from a merged stream",
+        "phases, counters, perf trend) from a merged stream",
     )
     telemetry_bundle_cmd.add_argument(
         "path",
@@ -1184,13 +1130,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="HTML",
         help="output HTML file (single file, no external assets)",
-    )
-    telemetry_bundle_cmd.add_argument(
-        "--bench",
-        default=None,
-        metavar="JSON",
-        help="embed this BENCH_engine.json baseline for side-by-side "
-        "comparison",
     )
     telemetry_bundle_cmd.add_argument(
         "--bench-history",
@@ -2365,16 +2304,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> str:
                 return json.dumps(hotspots, sort_keys=True, indent=1)
             return format_hotspots(hotspots)
         if args.telemetry_command == "bundle":
-            bench = None
-            if args.bench is not None:
-                try:
-                    with open(args.bench, encoding="utf-8") as handle:
-                        bench = json.load(handle)
-                except (OSError, json.JSONDecodeError) as error:
-                    raise SystemExit(
-                        f"repro: error: cannot read bench baseline "
-                        f"{args.bench}: {error}"
-                    ) from None
             bench_history = None
             if args.bench_history is not None:
                 try:
@@ -2395,7 +2324,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> str:
             path = write_bundle(
                 args.out,
                 load_stream(args.path),
-                bench=bench,
                 title=args.title,
                 bench_history=bench_history,
                 audit=audit,
@@ -2409,47 +2337,15 @@ def _cmd_telemetry(args: argparse.Namespace) -> str:
 
 
 def _cmd_perf(args: argparse.Namespace) -> str:
-    if getattr(args, "perf_command", None) == "history":
-        try:
-            rows = load_history(args.file)
-        except OSError as error:
-            raise SystemExit(
-                f"repro: error: cannot read history {args.file}: {error}"
-            ) from None
-        if args.json:
-            return json.dumps(rows, sort_keys=True, indent=1)
-        return format_history(rows)
-    report = run_perf(
-        quick=args.quick, repeats=args.repeats, phases=not args.no_phases
-    )
-    lines = [format_report(report)]
-    if args.history:
-        append_history(report, args.history)
-        lines.append(f"history row appended to {args.history}")
-    if args.out:
-        write_report(report, args.out)
-        lines.append(f"report written to {args.out}")
-    if args.check:
-        try:
-            baseline = load_report(args.check)
-        except (OSError, json.JSONDecodeError) as error:
-            raise SystemExit(
-                f"repro: error: cannot read baseline {args.check}: {error}"
-            ) from None
-        problems = compare_reports(
-            report, baseline, tolerance=args.tolerance
-        )
-        if problems:
-            print("\n".join(lines))
-            raise SystemExit(
-                "repro: perf regression against "
-                f"{args.check}:\n  " + "\n  ".join(problems)
-            )
-        lines.append(
-            f"no regression against {args.check} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
-    return "\n".join(lines)
+    try:
+        rows = load_history(args.file)
+    except OSError as error:
+        raise SystemExit(
+            f"repro: error: cannot read history {args.file}: {error}"
+        ) from None
+    if args.json:
+        return json.dumps(rows, sort_keys=True, indent=1)
+    return format_history(rows)
 
 
 def _cmd_sweep_report(args: argparse.Namespace) -> str:

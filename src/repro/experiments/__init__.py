@@ -18,13 +18,7 @@ from repro.experiments.harness import (
     average_series,
     run_repeated,
 )
-from repro.experiments.perf import (
-    PERF_MATRIX,
-    PerfCell,
-    compare_reports,
-    format_report,
-    run_perf,
-)
+from repro.experiments.perf import PERF_MATRIX, PerfCell
 from repro.experiments.store import ResultStore, cache_key
 from repro.experiments.prediction import (
     DepartureRiskReport,
@@ -47,16 +41,13 @@ __all__ = [
     "SimulationJob",
     "average_series",
     "cache_key",
-    "compare_reports",
     "configure_default_executor",
     "format_curve_table",
     "format_reason_table",
-    "format_report",
     "format_series_table",
     "format_surface",
     "get_default_executor",
     "predict_departure_risks",
-    "run_perf",
     "run_repeated",
     "set_default_executor",
 ]

@@ -25,6 +25,7 @@ suite configure via :func:`configure_default_executor`.
 
 from __future__ import annotations
 
+import copy
 import os
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
+from repro._checks import check_number
 from repro.audit.recorder import get_audit
 from repro.experiments.store import ResultStore, cache_key, key_scope
 from repro.simulation.config import SimulationConfig
@@ -55,16 +57,21 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
 def workers_from_environment() -> int:
-    """Pool size according to ``REPRO_WORKERS`` (unset/empty → 1)."""
+    """Pool size according to ``REPRO_WORKERS`` (unset/empty → 1).
+
+    Any other value must be a positive integer, as ``--workers`` must:
+    ``0``, ``-3``, ``1.5`` or ``nan`` raise ``ValueError`` naming the
+    variable rather than quietly meaning one worker.
+    """
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise ValueError(
-            f"{WORKERS_ENV} must be an integer, got {raw!r}"
-        ) from None
+        workers = raw  # refused below, by name
+    check_number(None, WORKERS_ENV, workers, integer=True, gt=0)
+    return workers
 
 
 @dataclass(frozen=True)
@@ -185,11 +192,12 @@ class ExperimentExecutor:
     def run(self, jobs: Iterable[SimulationJob]) -> list[SimulationResult]:
         """Execute every job, order-preserving.
 
-        Store hits are returned directly; the remaining jobs run in the
-        process pool (or inline when ``workers == 1`` or only one job is
-        pending).  Each completed simulation is persisted as soon as it
-        finishes — an interrupt mid-batch loses at most the in-flight
-        runs, never the completed ones.
+        Store hits are returned directly; each distinct remaining run
+        (one cache key, however often the batch repeats it) is simulated
+        once, in the process pool (or inline when ``workers == 1`` or
+        only one run is pending).  Each completed simulation is
+        persisted as soon as it finishes — an interrupt mid-batch loses
+        at most the in-flight runs, never the completed ones.
         """
         return [result for result, _ in self.run_detailed(jobs)]
 
@@ -209,7 +217,10 @@ class ExperimentExecutor:
         jobs = list(jobs)
         results: list[SimulationResult | None] = [None] * len(jobs)
 
-        pending: list[int] = []
+        # Misses by cache key, so a run the batch repeats is simulated
+        # and put once.  Not by job equality: ``duration=40`` and
+        # ``duration=40.0`` are equal jobs with different keys.
+        misses: dict[str, list[int]] = {}
         for position, job in enumerate(jobs):
             cached = (
                 self.store.get(job.config, job.method, job.seed)
@@ -219,34 +230,42 @@ class ExperimentExecutor:
             if cached is not None:
                 results[position] = cached
             else:
-                pending.append(position)
+                key = cache_key(job.config, job.method, job.seed)
+                misses.setdefault(key, []).append(position)
 
-        if not pending:
+        if not misses:
             # Store hits are counted in *this* process while per-job
             # flushes happen in _execute_job (possibly a pool child) —
             # a fully-warm batch would otherwise never persist them.
             self._flush_telemetry()
             return [(result, True) for result in results]  # type: ignore[misc]
 
-        if self.workers == 1 or len(pending) == 1:
-            for position in pending:
-                results[position] = self._complete(
-                    jobs[position], _execute_job(jobs[position])
+        def finish(positions: list[int], result: SimulationResult) -> None:
+            first, *repeats = positions
+            results[first] = self._complete(jobs[first], result)
+            for position in repeats:
+                # An independent copy, as a second simulation would
+                # return, carrying this job's own config object.
+                results[position] = copy.deepcopy(
+                    result, {id(result.config): jobs[position].config}
                 )
+
+        if self.workers == 1 or len(misses) == 1:
+            for positions in misses.values():
+                finish(positions, _execute_job(jobs[positions[0]]))
         else:
             with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))
+                max_workers=min(self.workers, len(misses))
             ) as pool:
                 futures = {
-                    pool.submit(_execute_job, jobs[position]): position
-                    for position in pending
+                    pool.submit(_execute_job, jobs[positions[0]]): positions
+                    for positions in misses.values()
                 }
                 for future in as_completed(futures):
-                    position = futures[future]
-                    results[position] = self._complete(
-                        jobs[position], future.result()
-                    )
-        simulated = set(pending)
+                    finish(futures[future], future.result())
+        simulated = {
+            position for positions in misses.values() for position in positions
+        }
         # Pool children flushed their own counters job-by-job; this
         # persists the parent's share (store hits/misses, put bytes).
         self._flush_telemetry()

@@ -1,7 +1,6 @@
 """The repo's one atomic writer, and its opt-in power-loss durability.
 
-Every file the repo writes whole goes through :func:`atomic_write`
-(matplotlib's image exports and the append-only perf history aside):
+Every file the repo writes whole goes through :func:`atomic_write`:
 the bytes land in a dot-prefixed temp file beside the target, then one
 ``os.replace`` (or ``os.link``, for an exclusive create) commits the
 whole file.  That is *crash*-atomic: a reader never observes a

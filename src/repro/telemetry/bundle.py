@@ -9,8 +9,6 @@ a reviewer needs to judge a fleet drain:
 * the per-phase engine breakdown and cache-efficacy table from the
   registry aggregation (:func:`repro.telemetry.report.aggregate_events`);
 * the fleet counters;
-* the committed ``BENCH_engine.json`` baseline for side-by-side
-  comparison, when provided;
 * the ``BENCH_history.jsonl`` perf trend (``--bench-history``), one
   row per committed benchmark run with per-mode deltas; and
 * decision-audit report sections (``--audit``), one per shard, with
@@ -34,7 +32,7 @@ from repro.reliability.durability import atomic_write
 from repro.telemetry.report import aggregate_events
 from repro.telemetry.timeline import drain_timeline
 
-__all__ = ["render_bundle", "write_bundle"]
+__all__ = ["history_trend", "render_bundle", "write_bundle"]
 
 _CSS = """
 body{font:14px/1.45 system-ui,sans-serif;margin:24px auto;max-width:980px;
@@ -172,63 +170,57 @@ def _counters_table(report: dict) -> str:
     return "".join(rows)
 
 
-def _bench_table(bench: dict) -> str:
-    cells = bench.get("cells", {})
-    rows = [
-        "<table><tr><th>cell</th><th>queries</th><th>seconds</th>"
-        "<th>qps</th></tr>"
-    ]
-    for name in sorted(cells):
-        cell = cells[name]
-        rows.append(
-            f"<tr><td>{_esc(name)}</td>"
-            f"<td>{cell.get('queries', 0)}</td>"
-            f"<td>{cell.get('seconds', 0.0):.3f}</td>"
-            f"<td>{cell.get('qps', 0.0):,.0f}</td></tr>"
-        )
-    rows.append(
-        f"</table><p>aggregate qps "
-        f"{bench.get('aggregate_qps', 0.0):,.0f} "
-        f"(engine v{_esc(bench.get('engine_version', '?'))}, "
-        f"mode {_esc(bench.get('mode', '?'))})</p>"
-    )
-    return "".join(rows)
+def history_trend(rows: list[dict]) -> list[dict]:
+    """The perf trend's display rows, one per history row (oldest first).
+
+    The one trend rule behind ``repro perf history`` and the bundle's
+    table: ``when`` is the row's timestamp in UTC (``baseline`` for
+    the timestamp-less seed row), never the clock or the reader's
+    timezone, and ``delta`` compares ``aggregate`` against the previous
+    row of the *same* mode, since a quick row against a full row would
+    manufacture a fake cliff.
+    """
+    trend = []
+    last_by_mode: dict[str, float] = {}
+    for row in rows:
+        stamp = row.get("t")
+        mode = str(row.get("mode", "?"))
+        aggregate = float(row.get("aggregate_qps", 0.0))
+        previous = last_by_mode.get(mode)
+        last_by_mode[mode] = aggregate
+        trend.append({
+            "when": (
+                time.strftime("%Y-%m-%d %H:%M", time.gmtime(stamp))
+                if isinstance(stamp, (int, float))
+                else "baseline"
+            ),
+            "mode": mode,
+            "engine": str(row.get("engine_version", "?")),
+            "aggregate": aggregate,
+            "delta": (
+                f"{(aggregate / previous - 1.0) * 100:+.0f}%"
+                if previous
+                else "-"
+            ),
+            "cells": len(row.get("cells", {})),
+        })
+    return trend
 
 
 def _history_table(rows: list[dict]) -> str:
-    """The perf trend as a table (oldest row first).
-
-    Deterministic by construction: timestamps come from the rows (UTC,
-    so the rendering does not depend on the reader's timezone), never
-    from the clock, and the delta column compares each row against the
-    previous row of the *same* mode, mirroring ``repro perf history``.
-    """
+    """The perf trend (:func:`history_trend`) as an HTML table."""
     if not rows:
         return "<p>no perf history rows.</p>"
     parts = [
         "<table><tr><th>when (UTC)</th><th>mode</th><th>engine</th>"
         "<th>aggregate qps</th><th>delta</th><th>cells</th></tr>"
     ]
-    last_by_mode: dict[str, float] = {}
-    for row in rows:
-        stamp = row.get("t")
-        when = (
-            time.strftime("%Y-%m-%d %H:%M", time.gmtime(stamp))
-            if isinstance(stamp, (int, float))
-            else "baseline"
-        )
-        mode = str(row.get("mode", "?"))
-        aggregate = float(row.get("aggregate_qps", 0.0))
-        previous = last_by_mode.get(mode)
-        delta = (
-            f"{(aggregate / previous - 1.0) * 100:+.0f}%" if previous else "-"
-        )
-        last_by_mode[mode] = aggregate
+    for row in history_trend(rows):
         parts.append(
-            f"<tr><td>{_esc(when)}</td><td>{_esc(mode)}</td>"
-            f"<td>{_esc(row.get('engine_version', '?'))}</td>"
-            f"<td>{aggregate:,.0f}</td><td>{_esc(delta)}</td>"
-            f"<td>{len(row.get('cells', {}))}</td></tr>"
+            f"<tr><td>{_esc(row['when'])}</td><td>{_esc(row['mode'])}</td>"
+            f"<td>{_esc(row['engine'])}</td>"
+            f"<td>{row['aggregate']:,.0f}</td><td>{_esc(row['delta'])}</td>"
+            f"<td>{row['cells']}</td></tr>"
         )
     parts.append("</table>")
     return "".join(parts)
@@ -281,7 +273,6 @@ def _audit_section(payload: dict, top: int = 8) -> str:
 
 def render_bundle(
     events: list[dict],
-    bench: dict | None = None,
     title: str = "repro fleet ops bundle",
     bench_history: list[dict] | None = None,
     audit: list[dict] | None = None,
@@ -320,7 +311,6 @@ def render_bundle(
         {
             "timeline": timeline,
             "report": report,
-            "bench": bench,
             "bench_history": bench_history,
             "audit": audit,
         },
@@ -346,9 +336,6 @@ def render_bundle(
         "<h2>Fleet counters</h2>",
         _counters_table(report),
     ]
-    if bench is not None:
-        sections += ["<h2>Committed benchmark baseline</h2>",
-                     _bench_table(bench)]
     if bench_history is not None:
         sections += ["<h2>Benchmark history</h2>",
                      _history_table(bench_history)]
@@ -366,7 +353,6 @@ def render_bundle(
 def write_bundle(
     path: Path | str,
     events: list[dict],
-    bench: dict | None = None,
     title: str = "repro fleet ops bundle",
     bench_history: list[dict] | None = None,
     audit: list[dict] | None = None,
@@ -376,7 +362,7 @@ def write_bundle(
     atomic_write(
         path,
         render_bundle(
-            events, bench, title, bench_history=bench_history, audit=audit
+            events, title, bench_history=bench_history, audit=audit
         ).encode("utf-8"),
     )
     return path

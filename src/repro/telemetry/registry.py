@@ -139,7 +139,7 @@ class Telemetry:
         Directory the events file is flushed into (created on first
         flush).  ``None`` keeps the registry in-memory only — metrics
         and events accumulate and can be inspected programmatically
-        (the perf harness's phase breakdown), but nothing hits disk.
+        (``aggregate_events(telemetry.events)``), but nothing hits disk.
     """
 
     def __init__(self, events_dir: Path | str | None = None) -> None:
@@ -256,15 +256,6 @@ class Telemetry:
         """The events collected so far (live list; treat as read-only)."""
         return self._events
 
-    def phase_seconds(self) -> dict[str, float]:
-        """Total seconds per engine phase across the collected events."""
-        totals: dict[str, float] = {}
-        for event in self._events:
-            if event["kind"] == "phase":
-                name = event["name"]
-                totals[name] = totals.get(name, 0.0) + event["dur_s"]
-        return totals
-
     # -- persistence --------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -349,7 +340,7 @@ def configure_telemetry(
 
 
 def telemetry_session(events_dir: Path | str | None = None):
-    """Scoped registry for tests and the perf harness.
+    """Scoped registry for tests and in-process measurements.
 
     Installs a fresh registry, yields it, and restores whatever was
     active before — including the unresolved lazy state, so a session

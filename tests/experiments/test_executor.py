@@ -174,23 +174,87 @@ class TestExperimentExecutor:
         assert third.simulations_run == 0
 
 
+class TestRepeatedRunsInOneBatch:
+    """A batch simulates and puts each distinct run (cache key) once."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_run_is_simulated_and_put_once(self, tmp_path, workers):
+        store = ResultStore(tmp_path)
+        executor = ExperimentExecutor(workers=workers, store=store)
+        set_default_executor(executor)
+        seeds = (3, 3) if workers == 1 else (3, 3, 5)
+        with mock.patch.object(store, "put", wraps=store.put) as puts:
+            runs = run_repeated(tiny_config(duration=40.0), "sqlb", seeds)
+        assert executor.simulations_run == len(set(seeds))
+        assert puts.call_count == len(set(seeds))
+        assert runs[0] is not runs[1]
+        assert runs[0].config is runs[1].config
+        _assert_results_identical(runs[0], runs[1])
+
+    def test_each_position_carries_its_own_config(self):
+        first, second = tiny_config(duration=40.0), tiny_config(duration=40.0)
+        executor = ExperimentExecutor()
+        results = executor.run(
+            [SimulationJob(first, "sqlb", 1), SimulationJob(second, "sqlb", 1)]
+        )
+        assert executor.simulations_run == 1
+        assert results[0].config is first
+        assert results[1].config is second
+        _assert_results_identical(*results)
+
+    def test_equal_jobs_with_different_keys_are_simulated_apart(
+        self, tmp_path
+    ):
+        integral, fractional = tiny_config(duration=40), tiny_config(duration=40.0)
+        jobs = [
+            SimulationJob(integral, "sqlb", 1),
+            SimulationJob(fractional, "sqlb", 1),
+        ]
+        assert jobs[0] == jobs[1]
+        executor = ExperimentExecutor(store=ResultStore(tmp_path))
+        results = executor.run(jobs)
+        assert executor.simulations_run == 2
+        assert [result.config for result in results] == [integral, fractional]
+        assert len(list(tmp_path.glob("*.npz"))) == 2
+
+    def test_repeats_of_a_warm_run_are_all_hits(self, tmp_path):
+        config = tiny_config(duration=40.0)
+        store = ResultStore(tmp_path)
+        ExperimentExecutor(store=store).run_one(config, "sqlb", seed=3)
+        executor = ExperimentExecutor(store=store)
+        detailed = executor.run_detailed(
+            [SimulationJob(config, "sqlb", 3)] * 2
+        )
+        assert [hit for _, hit in detailed] == [True, True]
+        assert executor.simulations_run == 0
+
+
 class TestWorkersFromEnvironment:
     def test_defaults_and_parses(self, monkeypatch):
         from repro.experiments.executor import WORKERS_ENV, workers_from_environment
 
         monkeypatch.delenv(WORKERS_ENV, raising=False)
         assert workers_from_environment() == 1
+        monkeypatch.setenv(WORKERS_ENV, "")
+        assert workers_from_environment() == 1
         monkeypatch.setenv(WORKERS_ENV, "4")
         assert workers_from_environment() == 4
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        assert workers_from_environment() == 1  # clamped
 
-    def test_garbage_raises_named_error(self, monkeypatch):
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", "nan", "inf"])
+    def test_refuses_what_workers_refuses_by_name(self, monkeypatch, raw):
         from repro.experiments.executor import WORKERS_ENV, workers_from_environment
 
-        monkeypatch.setenv(WORKERS_ENV, "abc")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+        monkeypatch.setenv(WORKERS_ENV, raw)
+        with pytest.raises(ValueError, match="REPRO_WORKERS must be positive"):
             workers_from_environment()
+
+    def test_cli_reports_a_bad_value_cleanly(self, monkeypatch):
+        from repro.cli import main
+        from repro.experiments.executor import WORKERS_ENV
+
+        monkeypatch.setenv(WORKERS_ENV, "0")
+        with pytest.raises(SystemExit, match="repro: error: REPRO_WORKERS"):
+            main(["run", "--duration", "40", "--no-cache"])
 
 
 class TestDefaultExecutorWiring:

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
+import pytest
+
+from repro.cli import main
 from repro.telemetry.bundle import render_bundle, write_bundle
+from repro.telemetry.registry import Telemetry
 from tests.telemetry.test_timeline import two_worker_drain
+
+HISTORY = Path(__file__).parents[2] / "BENCH_history.jsonl"
 
 
 class TestDeterminism:
@@ -48,20 +55,6 @@ class TestContent:
         end = html.index("</script>", start)
         blob = json.loads(html[start:end].replace("<\\/", "</"))
         assert blob["timeline"]["drain"]["jobs"] == 3
-        assert blob["bench"] is None
-
-    def test_bench_section_when_provided(self):
-        bench = {
-            "aggregate_qps": 1234.5,
-            "engine_version": "1",
-            "mode": "full",
-            "cells": {"captive_small/sqlb": {
-                "qps": 1000.0, "queries": 50, "seconds": 0.05,
-            }},
-        }
-        html = render_bundle(two_worker_drain(), bench=bench)
-        assert "Committed benchmark baseline" in html
-        assert "captive_small/sqlb" in html
 
     def test_title_is_escaped(self):
         html = render_bundle([], title="<drain> & co")
@@ -95,6 +88,38 @@ class TestBenchHistorySection:
 
     def test_omitted_when_not_provided(self):
         assert "Benchmark history" not in render_bundle(two_worker_drain())
+
+
+class TestBundleCli:
+    @pytest.fixture
+    def events_dir(self, tmp_path):
+        telemetry = Telemetry(tmp_path / "tele")
+        telemetry.event("phase", "scoring", duration_s=0.5)
+        telemetry.flush()
+        return tmp_path / "tele"
+
+    def test_double_render_with_history_is_byte_identical(
+        self, events_dir, tmp_path
+    ):
+        renders = []
+        for name in ("first.html", "second.html"):
+            out = tmp_path / name
+            main([
+                "telemetry", "bundle", str(events_dir), "--out", str(out),
+                "--bench-history", str(HISTORY),
+            ])
+            renders.append(out.read_bytes())
+        assert renders[0] == renders[1]
+        assert b"Benchmark history" in renders[0]
+
+    def test_retired_bench_flag_is_refused(self, events_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "telemetry", "bundle", str(events_dir),
+                "--out", str(tmp_path / "out.html"), "--bench", str(HISTORY),
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --bench" in capsys.readouterr().err
 
 
 class TestAuditSection:

@@ -99,17 +99,6 @@ class TestSpans:
         assert by_name["scoring"]["parent"] == run_id
         assert by_name["sqlb"]["parent"] is None
 
-    def test_phase_seconds_sums_by_name(self):
-        telemetry = Telemetry()
-        telemetry.event("phase", "scoring", duration_s=0.5)
-        telemetry.event("phase", "scoring", duration_s=0.25)
-        telemetry.event("phase", "ranking", duration_s=1.0)
-        telemetry.event("queue", "claim", duration_s=9.0)  # not a phase
-        assert telemetry.phase_seconds() == {
-            "scoring": 0.75,
-            "ranking": 1.0,
-        }
-
 
 class TestFlush:
     def test_in_memory_flush_is_a_noop(self):

@@ -17,6 +17,7 @@ from repro.telemetry.quantiles import SUB_BUCKETS
 from repro.telemetry.registry import Telemetry
 from repro.telemetry.report import (
     PHASE_ORDER,
+    aggregate_events,
     format_telemetry_report,
     telemetry_report,
 )
@@ -49,6 +50,18 @@ class TestAggregation:
         ]
         assert report["phases"][0]["share"] == pytest.approx(0.25)
         assert report["phases"][1]["share"] == pytest.approx(0.75)
+
+    def test_phase_events_sum_by_name(self):
+        telemetry = Telemetry()
+        telemetry.event("phase", "scoring", duration_s=0.5)
+        telemetry.event("phase", "scoring", duration_s=0.25)
+        telemetry.event("phase", "ranking", duration_s=1.0)
+        telemetry.event("queue", "claim", duration_s=9.0)  # not a phase
+        rows = aggregate_events(telemetry.events)["phases"]
+        assert {row["phase"]: row["total_s"] for row in rows} == {
+            "scoring": 0.75,
+            "ranking": 1.0,
+        }
 
     def test_counters_sum_across_processes(self, tmp_path):
         flush_process(tmp_path, pid_counters={"executor.jobs": 2})

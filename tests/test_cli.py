@@ -341,7 +341,6 @@ NUMERIC_FLAGS = [
     ["queue", "fleet", "--queue-dir", "q", "--ttl"],
     ["analyze", "compare", "a", "b", "--default-threshold"],
     ["analyze", "compare", "a", "b", "--threshold=response_time_post_warmup"],
-    ["perf", "--tolerance"],
 ]
 
 
